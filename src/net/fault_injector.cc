@@ -153,7 +153,10 @@ std::string FaultSpec::to_string() const {
   if (reset > 0.0) add("reset=" + prob(reset));
   if (delay_prob > 0.0 && delay_ms > 0) {
     std::string token = "delay_ms=" + std::to_string(delay_ms);
-    if (delay_prob < 1.0) token += ":" + prob(delay_prob);
+    if (delay_prob < 1.0) {
+      token += ':';
+      token += prob(delay_prob);
+    }
     add(token);
   }
   if (seed != 0) add("seed=" + std::to_string(seed));

@@ -226,8 +226,10 @@ std::vector<KernelLaunch> CostModel::lower_step(const NetworkDesc& net,
           // distribution toward fewer types (paper Fig. 7).
           std::string name = algo_name(algo.algo) + "_" + pass_name(pass);
           if (algo.algo == ConvAlgo::kWinograd || algo.algo == ConvAlgo::kFft) {
-            name += "_" + std::to_string(layer.kernel) + "x" +
-                    std::to_string(layer.kernel);
+            name += '_';
+            name += std::to_string(layer.kernel);
+            name += 'x';
+            name += std::to_string(layer.kernel);
           }
           launches.push_back({std::move(name), t});
         }

@@ -69,7 +69,9 @@ std::string render_json(const core::TextTable& table) {
   const auto& headers = table.headers();
   for (std::size_t c = 0; c < headers.size(); ++c) {
     if (c > 0) out += ", ";
-    out += "\"" + json_escape(headers[c]) + "\"";
+    out += '"';
+    out += json_escape(headers[c]);
+    out += '"';
   }
   out += "],\n  \"rows\": [\n";
   const auto& rows = table.rows();
@@ -77,8 +79,11 @@ std::string render_json(const core::TextTable& table) {
     out += "    {";
     for (std::size_t c = 0; c < rows[r].size(); ++c) {
       if (c > 0) out += ", ";
-      out += "\"" + json_escape(headers[c]) + "\": \"" +
-             json_escape(rows[r][c]) + "\"";
+      out += '"';
+      out += json_escape(headers[c]);
+      out += "\": \"";
+      out += json_escape(rows[r][c]);
+      out += '"';
     }
     out += r + 1 < rows.size() ? "},\n" : "}\n";
   }

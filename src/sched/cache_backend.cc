@@ -1,7 +1,6 @@
 #include "sched/cache_backend.h"
 
 #include <cstdlib>
-#include <stdexcept>
 
 #include "core/env.h"
 #include "sched/fs_cache_backend.h"
@@ -49,32 +48,15 @@ CacheConfig cache_config_from_env() {
   return config;
 }
 
-std::unique_ptr<RemoteCacheBackend> make_remote_cache_backend(
-    const std::string& url) {
-  return std::make_unique<RemoteCacheBackend>(url,
-                                              remote_cache_options_from_env());
-}
-
 std::unique_ptr<ShardedCacheBackend> make_sharded_cache_backend(
     const std::vector<std::string>& urls) {
-  ShardedCacheOptions options;
-  options.remote = remote_cache_options_from_env();
-  // The probe schedule for a down shard reuses the reconnect knobs: both
-  // answer "how eagerly may a client pester a daemon that just vanished".
-  options.probe_backoff_ms = options.remote.reconnect_backoff_ms;
-  options.probe_backoff_max_ms = options.remote.reconnect_backoff_max_ms;
-  return std::make_unique<ShardedCacheBackend>(urls, options);
+  return std::make_unique<ShardedCacheBackend>(urls,
+                                               remote_cache_options_from_env());
 }
 
 std::unique_ptr<CacheBackend> make_cache_backend(const CacheConfig& config) {
   if (!config.url.empty()) {
-    const std::vector<std::string> urls = split_cache_urls(config.url);
-    if (urls.empty()) {
-      throw std::invalid_argument("cache url list '" + config.url +
-                                  "' contains no urls");
-    }
-    if (urls.size() > 1) return make_sharded_cache_backend(urls);
-    return make_remote_cache_backend(urls[0]);
+    return make_sharded_cache_backend(split_cache_urls(config.url));
   }
   if (!config.dir.empty()) {
     return std::make_unique<FsCacheBackend>(config.dir, config.budget);

@@ -10,7 +10,10 @@
 //   RemoteCacheBackend  (sched/remote_cache_backend.h)  a TCP client of the
 //                       nnr_cached daemon, claims are TTL leases kept alive
 //                       by heartbeats and released on disconnect — the
-//                       remote analogue of flock's release-on-death.
+//                       remote analogue of flock's release-on-death;
+//   ShardedCacheBackend (sched/sharded_cache_backend.h) one remote client
+//                       per daemon behind rendezvous routing — what a
+//                       --cache-url builds, with one URL or many.
 //
 // Claim lifecycle (identical across backends; see ARCHITECTURE.md for the
 // sequence diagrams):
@@ -133,11 +136,12 @@ class CacheBackend {
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
-/// Where a run's cache lives. `url` non-empty selects the remote backend
-/// (and `dir` is ignored); otherwise `dir` non-empty selects the
-/// filesystem backend; both empty means no cache. A comma-separated `url`
-/// (tcp://h1:p1,tcp://h2:p2,...) selects the sharded tier
-/// (sched/sharded_cache_backend.h) routing keys across the listed daemons.
+/// Where a run's cache lives. `url` non-empty selects the remote tier (and
+/// `dir` is ignored): a ShardedCacheBackend (sched/sharded_cache_backend.h)
+/// routing keys across the comma-separated daemons it lists
+/// (tcp://h1:p1,tcp://h2:p2,...), where a single URL is a one-shard tier.
+/// Otherwise `dir` non-empty selects the filesystem backend; both empty
+/// means no cache.
 struct CacheConfig {
   std::string dir;           // NNR_CACHE_DIR / --cache-dir
   std::string url;           // NNR_CACHE_URL / --cache-url (tcp://host:port
@@ -150,18 +154,8 @@ struct CacheConfig {
 [[nodiscard]] CacheConfig cache_config_from_env();
 
 /// Builds the backend `config` selects, or nullptr when the config
-/// disables caching. Throws std::invalid_argument on a malformed url.
+/// disables caching. Throws std::invalid_argument on a malformed url list.
 [[nodiscard]] std::unique_ptr<CacheBackend> make_cache_backend(
     const CacheConfig& config);
-
-class RemoteCacheBackend;
-
-/// Remote backend with the same environment-derived options
-/// (NNR_CACHE_LEASE_MS) make_cache_backend applies — for callers that need
-/// the concrete type's fleet-queue RPCs (nnr_run --submit/--worker), not
-/// just the CacheBackend interface. Throws std::invalid_argument on a
-/// malformed url.
-[[nodiscard]] std::unique_ptr<RemoteCacheBackend> make_remote_cache_backend(
-    const std::string& url);
 
 }  // namespace nnr::sched

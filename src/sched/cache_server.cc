@@ -350,8 +350,7 @@ void CacheServer::close_conn(int fd) {
 std::unordered_map<std::string, CacheServer::Lease>::iterator
 CacheServer::drop_lease(
     std::unordered_map<std::string, Lease>::iterator it) {
-  // A queue lease dying unreported sends its item back to pending (a
-  // no-op when a PUT or REPORT already marked the item done).
+  // A queue lease dying unreported sends its item back to pending.
   if (it->second.from_queue) queue_.release_to_pending(it->second.key);
   return leases_.erase(it);  // FileLock destructor drops the flock
 }
@@ -443,15 +442,11 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
     }
     case Op::kGet: {
       const CellKey key = read_key(r);
-      auto bytes = backend_.load_bytes(key);
+      const auto bytes = backend_.load_bytes(key);
       // An entry too large for one frame (possible only if it was written
       // by a local fs client — remote PUTs are size-checked) is served as
       // a miss: the requester retrains, nobody's connection drops.
-      if (bytes.has_value() &&
-          bytes->size() > net::kMaxFrameBytes - 64) {
-        bytes.reset();
-      }
-      if (bytes.has_value()) {
+      if (bytes.has_value() && bytes->size() <= net::kMaxFrameBytes - 64) {
         BodyWriter w;
         w.put(static_cast<std::uint8_t>(Status::kFound));
         w.put(static_cast<std::uint64_t>(bytes->size()));
@@ -473,10 +468,6 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
           !backend_.store_bytes(key, bytes)) {
         resp = status_only(Status::kError);
       } else {
-        // The store IS the proof of work: if the fleet queue tracks this
-        // key, its item is done(trained) here and now — a worker killed
-        // between PUT and REPORT still counts exactly once.
-        queue_.on_stored(key);
         resp = status_only(Status::kOk);
       }
       break;

@@ -13,7 +13,7 @@
 #include "sched/fleet_queue.h"
 #include "sched/progress.h"
 #include "sched/registry.h"
-#include "sched/remote_cache_backend.h"
+#include "sched/sharded_cache_backend.h"
 #include "sched/study_plan.h"
 
 namespace nnr::sched {
@@ -130,13 +130,10 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
   }
 }
 
-FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
-                                    const FleetWorkerOptions& options,
-                                    CacheBackend* cache) {
+FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
+                                    const FleetWorkerOptions& options) {
   FleetWorkerSummary summary;
-  // Queue RPCs stay on `backend`; entry traffic goes through the cache
-  // tier (sharded or not). Same object in the single-daemon deployment.
-  CacheBackend& entries = cache != nullptr ? *cache : backend;
+  RemoteCacheBackend& queue = tier.shard(0);
   // Plans rebuilt once per study name; nullopt caches "unknown study" so a
   // skewed coordinator can't make us rebuild-and-fail per cell.
   std::unordered_map<std::string, std::optional<StudyPlan>> plans;
@@ -156,7 +153,7 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
   net::Jitter jitter = make_jitter(options.jitter_seed);
   for (;;) {
     if (options.max_cells > 0 && summary.fetched >= options.max_cells) break;
-    auto fetch = backend.fleet_fetch();
+    auto fetch = queue.fleet_fetch();
     if (!fetch.has_value()) {  // degraded: daemon unreachable right now
       sleep_ms(jitter.around(options.degraded_poll_ms));
       continue;
@@ -175,16 +172,14 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
     ++summary.fetched;
     const FleetWorkItem& work = fetch->item;
     const auto report = [&](net::ReportOutcome outcome) {
-      // Under a sharded tier REPORT is the only settlement path (the PUT
-      // went to the key's owner shard, not the queue daemon), so an
-      // undelivered REPORT is retried. nullopt with the connection still
-      // up is a daemon ANSWER (kGone: the lease expired or a PUT already
-      // settled the item) — final, not retryable; a delivery failure
-      // always drops the connection.
+      // REPORT is the only settlement path, so an undelivered REPORT is
+      // retried. nullopt with the connection still up is a daemon ANSWER
+      // (kGone: the lease expired) — final, not retryable; a delivery
+      // failure always drops the connection.
       for (std::int64_t attempt = 0;; ++attempt) {
-        if (backend.fleet_report(work.key, fetch->lease_id, outcome)
+        if (queue.fleet_report(work.key, fetch->lease_id, outcome)
                 .has_value() ||
-            backend.connected() || attempt >= options.report_retries) {
+            queue.connected() || attempt >= options.report_retries) {
           return;
         }
         sleep_ms(
@@ -222,7 +217,7 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
       continue;
     }
 
-    if (entries.load(work.key).has_value()) {
+    if (tier.load(work.key).has_value()) {
       report(net::ReportOutcome::kServed);
       ++summary.served;
       continue;
@@ -239,14 +234,14 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
                    e.what());
       trained_ok = false;
     }
-    bool stored = trained_ok && entries.store(work.key, result);
+    bool stored = trained_ok && tier.store(work.key, result);
     for (std::int64_t attempt = 0;
          trained_ok && !stored && attempt < options.store_retries; ++attempt) {
       // The training is in hand; only the PUT failed (daemon hiccup,
       // dropped frame). Re-sending is far cheaper than reporting kFailed
       // and having another worker retrain the whole cell.
       sleep_ms(jitter.around(std::max<std::int64_t>(options.store_retry_ms, 1)));
-      stored = entries.store(work.key, result);
+      stored = tier.store(work.key, result);
     }
     if (!stored) {
       // A result we can't persist is indistinguishable from no result to

@@ -13,9 +13,14 @@
 //                 a stateless FETCH -> train -> PUT -> REPORT loop. Workers
 //                 can join or leave mid-study: a fetched lease that dies
 //                 with its worker returns the cell to the queue (TTL expiry
-//                 or TCP disconnect), and the daemon marks a cell trained
-//                 at PUT time, so a worker killed between PUT and REPORT
-//                 still counts exactly once.
+//                 or TCP disconnect). REPORT alone settles a cell, so a
+//                 worker killed between PUT and REPORT costs no retrain:
+//                 the next worker's load hits and it reports the cell
+//                 served.
+//
+// The queue lives on the first daemon of the --cache-url map, shard(0) of
+// the cache tier (a single daemon is a one-shard tier); entry traffic goes
+// through the tier to each key's owner shard.
 //
 // Both loops degrade like the rest of the remote backend: an unreachable
 // or restarted daemon costs retries (the daemon's queue snapshot survives a
@@ -29,8 +34,8 @@
 
 namespace nnr::sched {
 
-class CacheBackend;
 class RemoteCacheBackend;
+class ShardedCacheBackend;
 
 struct FleetSubmitOptions {
   /// QUEUE_STAT poll interval while waiting for the fleet to drain
@@ -59,7 +64,8 @@ struct FleetSubmitSummary {
 };
 
 /// Submits every cacheable (cell, replicate) of the named studies (ids per
-/// sched/registry.h; the caller validates names first) and blocks until the
+/// sched/registry.h; the caller validates names first) to `backend`, the
+/// queue daemon's client (shard(0) of the cache tier), and blocks until the
 /// fleet drains the queue, printing the [fleet] progress line to stderr.
 /// nullopt when the submit RPC fails submit_retries + 1 times (daemon
 /// unreachable, or a pre-queue daemon answering kError). Daemon restarts
@@ -89,12 +95,9 @@ struct FleetWorkerOptions {
   std::int64_t store_retries = 3;
   std::int64_t store_retry_ms = 200;
   /// A failed REPORT RPC is retried this many times (jittered
-  /// store_retry_ms apart). In a single-daemon deployment a lost REPORT is
-  /// benign — the PUT already settled the item on the same daemon — but
-  /// with a sharded cache tier the queue daemon never sees a PUT bound for
-  /// another shard, so REPORT is the only settlement path and a dropped
-  /// frame must cost a retry, not the cell's exactly-once tally (the
-  /// lease would expire and another worker would redo the cell as served).
+  /// store_retry_ms apart). REPORT is the only way a cell settles, so a
+  /// dropped frame should cost a retry rather than the lease: a lost lease
+  /// requeues the cell and another worker settles it as served.
   std::int64_t report_retries = 3;
   /// Seed of the jitter stream; 0 = pid-derived (production default).
   std::uint64_t jitter_seed = 0;
@@ -109,15 +112,10 @@ struct FleetWorkerSummary {
 
 /// The worker loop. Returns when the queue drains (see
 /// FleetWorkerOptions::exit_when_drained) or max_cells is reached.
-///
-/// `backend` carries the queue RPCs (FETCH/REPORT) — under a sharded cache
-/// tier the work queue lives on ONE daemon (the first shard in the map).
-/// `cache`, when non-null, carries the entry traffic (load before train,
-/// PUT after) so results land on each key's owner shard; null routes entry
-/// traffic through `backend` too (the single-daemon deployment, where the
-/// queue daemon IS the cache).
-FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
-                                    const FleetWorkerOptions& options = {},
-                                    CacheBackend* cache = nullptr);
+/// Queue RPCs (FETCH/REPORT) go to `tier.shard(0)`; entry traffic (load
+/// before train, PUT after) goes through `tier`, so each result lands on
+/// its key's owner shard.
+FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
+                                    const FleetWorkerOptions& options = {});
 
 }  // namespace nnr::sched

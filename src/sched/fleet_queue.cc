@@ -207,7 +207,6 @@ bool FleetQueue::report(const CellKey& key, Outcome outcome) {
   const auto it = items_.find(key);
   if (it == items_.end()) return false;
   Item& item = it->second;
-  if (item.state == ItemState::kDone) return true;  // PUT already settled it
   if (outcome == Outcome::kFailed) {
     ++item.attempts;
     if (item.attempts < kMaxAttempts) {
@@ -223,14 +222,6 @@ bool FleetQueue::report(const CellKey& key, Outcome outcome) {
   }
   persist();
   return true;
-}
-
-void FleetQueue::on_stored(const CellKey& key) {
-  const auto it = items_.find(key);
-  if (it == items_.end() || it->second.state == ItemState::kDone) return;
-  it->second.state = ItemState::kDone;
-  it->second.outcome = Outcome::kTrained;
-  persist();
 }
 
 FleetQueue::Stats FleetQueue::stats() const {

@@ -6,18 +6,18 @@
 //
 // One item per unique CellKey. Lifecycle:
 //
-//   pending --FETCH--> leased --REPORT/PUT--> done(trained|served|failed)
+//   pending --FETCH--> leased --REPORT--> done(trained|served|failed)
 //      ^                  |
 //      +---lease died-----+   (expiry, disconnect, or explicit release
 //                              before a report: the item requeues; a
 //                              kFailed report requeues too, up to
 //                              kMaxAttempts, then parks as done(failed))
 //
-// Exactly-once trained accounting does NOT depend on the worker surviving
-// to REPORT: the server calls on_stored() from its PUT handler, so a key
-// that reaches the cache marks its item done(trained) even if the worker
-// is SIGKILLed between PUT and REPORT. REPORT then finds the item already
-// done and merely releases the lease.
+// REPORT is the only way an item settles, whichever daemon the result was
+// stored on. A worker killed between its PUT and its REPORT loses the
+// lease, so the item requeues; the next worker's load hits and it reports
+// the cell served instead of retraining it. A drained wave therefore reads
+// trained + served == total with failed == 0.
 //
 // Durability: every state change that must survive a daemon restart
 // (submit, done, requeue-with-attempts) rewrites a snapshot file inside
@@ -93,15 +93,10 @@ class FleetQueue {
   /// release). Requeues it as pending unless it is already done.
   void release_to_pending(const CellKey& key);
 
-  /// Worker report for a leased (or already-done) item. kTrained/kServed
-  /// mark it done; kFailed requeues it (attempts + 1) until kMaxAttempts,
-  /// then parks it as done(failed). False when the key is unknown.
+  /// Worker report for a leased item. kTrained/kServed mark it done;
+  /// kFailed requeues it (attempts + 1) until kMaxAttempts, then parks it
+  /// as done(failed). False when the key is unknown.
   bool report(const CellKey& key, Outcome outcome);
-
-  /// A valid entry for `key` was just stored (PUT). If the queue tracks
-  /// the key and it is not done yet, it becomes done(trained) — the
-  /// store IS the proof of work, whether or not a report follows.
-  void on_stored(const CellKey& key);
 
   struct Stats {
     std::uint64_t total = 0;

@@ -151,24 +151,6 @@ bool RemoteCacheBackend::connected() const {
   return sock_.valid();
 }
 
-void RemoteCacheBackend::disconnect() {
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    drop_connection_locked();
-    last_connect_attempt_ = {};
-    ever_connected_ = false;
-    reconnect_backoff_.reset();
-    current_window_ms_ = 0;
-  }
-  {
-    // The daemon releases our leases when it sees the FIN; heartbeating
-    // them over the next connection would only collect kGone answers.
-    std::lock_guard<std::mutex> lock(lease_mu_);
-    leases_.clear();
-  }
-  hb_cv_.notify_all();
-}
-
 void RemoteCacheBackend::note_go_away_locked(std::uint32_t retry_after_ms) {
   drop_connection_locked();
   // Arm at least the server's hint: reconnecting sooner would only be

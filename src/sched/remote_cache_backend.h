@@ -19,11 +19,13 @@
 // must never wedge or corrupt a study, matching the corrupt-entry
 // contract. While degraded: load() misses, store() fails silently,
 // try_claim()/claim() grant a local no-op claim so the scheduler trains
-// the cell itself instead of deferring forever. The client re-attempts the
-// connection (at most once per reconnect_backoff_ms), so a bounced daemon
-// turns back into hits. GET payloads are re-validated locally (checksum +
-// embedded key); a corrupt payload counts corrupt+miss exactly like a
-// corrupt local file.
+// the cell itself instead of deferring forever. A dropped connection gets
+// one immediate reconnect attempt; once an attempt fails, every call fails
+// fast for a jittered, doubling window (reconnect_backoff_ms up to
+// reconnect_backoff_max_ms) and the first call after it tries again, so a
+// bounced daemon turns back into hits. GET payloads are re-validated
+// locally (checksum + embedded key); a corrupt payload counts corrupt+miss
+// exactly like a corrupt local file.
 //
 // Thread safety: all operations share one socket serialized by a mutex —
 // pool workers, the heartbeat thread, and claim releases interleave
@@ -117,22 +119,11 @@ class RemoteCacheBackend final : public CacheBackend {
   [[nodiscard]] bool ping();
 
   /// True when a TCP connection is currently established (no I/O — just a
-  /// socket check). The sharded composite uses this after a delegated
-  /// operation to decide whether a miss was "daemon says miss" (connection
-  /// up) or "daemon unreachable" (mark the shard down).
+  /// socket check). A delivery failure always drops the connection, so
+  /// after a failed RPC this tells "the daemon answered no" (still
+  /// connected) from "the request never got through". The sharded tier
+  /// reports a shard without a connection as down.
   [[nodiscard]] bool connected() const;
-
-  /// Explicit teardown with a FULL per-connection state reset: closes the
-  /// socket and clears the reconnect backoff, its armed window, the
-  /// last-attempt stamp, and the heartbeat set (held leases — the daemon
-  /// releases them on our FIN, so renewing them over a fresh connection
-  /// would only harvest kGone). The next operation connects immediately,
-  /// as if the backend were newly constructed. This is what shard-level
-  /// health cycling needs: a probe after an outage must actually attempt
-  /// the connect, not fail fast inside a stale backoff window. Contrast
-  /// drop_connection_for_test(), which simulates a vanished client and
-  /// deliberately leaves the lease set intact.
-  void disconnect();
 
   /// Answer to kShardInfo (shard identity, for the sharded client's
   /// dir-disjointness check). nullopt: daemon unreachable, or an older
@@ -179,8 +170,8 @@ class RemoteCacheBackend final : public CacheBackend {
     std::uint64_t total = 0;
   };
   /// REPORT for a fetched item. nullopt also covers kGone (the lease
-  /// expired or a PUT already settled the item) — benign either way, the
-  /// daemon's queue state is the truth.
+  /// expired, so the item went back to the queue) — the daemon's queue
+  /// state is the truth.
   std::optional<FleetReportAck> fleet_report(const CellKey& key,
                                              std::uint64_t lease_id,
                                              net::ReportOutcome outcome);

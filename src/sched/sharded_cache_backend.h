@@ -19,22 +19,13 @@
 //             surviving shard keeps its exact score, so it keeps every key
 //             it already won) — the reason HRW beats mod-N here.
 //
-// Failure semantics, per shard state:
-//
-//   healthy   all five verbs delegate to the owner shard's
-//             RemoteCacheBackend;
-//   down      only that shard's key range degrades to local recompute
-//             (load -> miss, store -> dropped, claims -> local no-op) —
-//             the other shards stay hot. A shard is marked down when a
-//             delegated operation leaves its client disconnected, and
-//             while down its operations short-circuit without touching
-//             the socket (the fail-fast that keeps a study's cost bounded);
-//   probing   each down shard re-probes on its own jittered net::Backoff
-//             schedule (so a fleet that lost a shard together does not
-//             hammer its revival in lockstep). A probe fully resets the
-//             shard client (RemoteCacheBackend::disconnect()) before
-//             pinging, so it really attempts the connect instead of
-//             failing fast inside a stale backoff window.
+// Failure semantics: every verb delegates straight to the key's owner
+// shard's RemoteCacheBackend, so a shard's health IS that client's
+// reconnect backoff. A shard that drops gets one immediate reconnect
+// attempt; if that fails, its client fails fast for a jittered, doubling
+// window (load -> miss, store -> dropped, claims -> local no-op) and then
+// tries again. Only that shard's key range degrades to local recompute —
+// the other shards stay hot.
 //
 // Never re-route: a down shard's keys are trained locally, not diverted to
 // a surviving shard — diverting would both blur the claim-exclusivity
@@ -46,17 +37,19 @@
 // two shard slots backed by one directory (a misconfiguration that would
 // silently halve the tier). Old daemons without the opcode are skipped —
 // the check degrades, like everything else in the cache.
+//
+// A single daemon is a one-shard tier: make_cache_backend builds this
+// composite for every --cache-url, and the fleet loops send their queue
+// RPCs to shard(0).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "net/backoff.h"
 #include "sched/cache_backend.h"
 #include "sched/remote_cache_backend.h"
 
@@ -86,26 +79,16 @@ namespace nnr::sched {
 [[nodiscard]] std::vector<std::string> split_cache_urls(
     const std::string& list);
 
-struct ShardedCacheOptions {
-  /// Per-shard client options (every shard gets the same ones).
-  RemoteCacheOptions remote;
-  /// Probe schedule for a down shard: first window, doubling per failed
-  /// probe up to the max, jittered ±50% (net::Backoff).
-  int probe_backoff_ms = 500;
-  int probe_backoff_max_ms = 8'000;
-  /// Jitter stream seed; 0 derives a per-process seed (production). Tests
-  /// pin a nonzero seed for a reproducible probe schedule.
-  std::uint64_t jitter_seed = 0;
-};
-
 class ShardedCacheBackend final : public CacheBackend {
  public:
   /// `urls` must be non-empty, each tcp://host:port, and pairwise distinct
   /// (two slots with one URL would be one daemon scored twice). Throws
   /// std::invalid_argument otherwise. Does not connect — first use does.
+  /// Every shard client gets `options`, except that each derives its own
+  /// jitter seed from options.jitter_seed (0 = per-process), so shards that
+  /// drop together do not reconnect in lockstep.
   explicit ShardedCacheBackend(const std::vector<std::string>& urls,
-                               ShardedCacheOptions options = {});
-  ~ShardedCacheBackend() override;
+                               RemoteCacheOptions options = {});
 
   // CacheBackend interface (doc contracts in sched/cache_backend.h).
   [[nodiscard]] std::optional<core::RunResult> load(
@@ -116,24 +99,23 @@ class ShardedCacheBackend final : public CacheBackend {
   [[nodiscard]] std::optional<CacheClaim> try_claim(
       const CellKey& key) override;
   [[nodiscard]] std::optional<CacheClaim> claim(const CellKey& key) override;
-  /// Sweeps every currently-reachable shard and sums the results; down
-  /// shards are skipped (their housekeeping waits for their revival).
+  /// Sweeps every shard and sums the results; an unreachable shard
+  /// contributes zeros (its housekeeping waits for its revival).
   GcStats gc() override;
-  /// Sum over the shard clients' lifetime counters plus the misses this
-  /// composite recorded while short-circuiting ops to down shards.
+  /// Sum over the shard clients' lifetime counters.
   [[nodiscard]] CacheStats stats() const override;
   [[nodiscard]] std::string describe() const override;
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  /// The owner shard index for `key` — routing only, no health/IO.
+  /// The owner shard index for `key` — routing only, no IO.
   [[nodiscard]] std::size_t shard_for(const CellKey& key) const;
-  /// The slot's URL (routing-relevant identity; also in describe()).
-  [[nodiscard]] const std::string& shard_url(std::size_t index) const;
-  /// Direct access to one shard's client, for tests and shard-aware tools.
+  /// Direct access to one shard's client: the fleet loops' queue RPCs
+  /// (shard 0), tests, and shard-aware tools.
   [[nodiscard]] RemoteCacheBackend& shard(std::size_t index);
-  /// True when the composite currently fails fast for this shard's keys.
+  /// True when the shard's client holds no connection: not used yet, or
+  /// dropped and not yet reconnected (failing fast inside its backoff).
   [[nodiscard]] bool shard_marked_down(std::size_t index) const;
 
   /// Queries every shard's kShardInfo and cross-checks dir-disjointness.
@@ -144,28 +126,16 @@ class ShardedCacheBackend final : public CacheBackend {
   [[nodiscard]] std::optional<std::string> verify_disjoint();
 
  private:
-  struct ShardState;
+  RemoteCacheBackend& owner(const CellKey& key);
 
-  /// Resolves `key` to its owner shard's client, honoring health: nullptr
-  /// means the owner is down (and not due a probe yet, or the probe just
-  /// failed) — the caller degrades to local recompute.
-  RemoteCacheBackend* route(const CellKey& key, std::size_t* index);
-  /// Post-delegation health check: a client left disconnected by its
-  /// operation marks its shard down and arms the probe backoff.
-  void note_shard_result(std::size_t index);
-  void count_degraded_miss(CacheStats* run);
-
-  std::vector<std::unique_ptr<ShardState>> shards_;
+  std::vector<std::unique_ptr<RemoteCacheBackend>> shards_;
   std::vector<std::uint64_t> tags_;
   std::string description_;
-
-  mutable std::mutex stats_mu_;
-  CacheStats degraded_;  // misses recorded while short-circuiting
 };
 
-/// Sharded backend over `urls` with the same environment-derived per-shard
-/// options make_remote_cache_backend applies (NNR_CACHE_LEASE_MS etc.).
-/// Throws std::invalid_argument on a malformed or duplicated url.
+/// Sharded backend over `urls` with environment-derived shard client
+/// options (NNR_CACHE_LEASE_MS, NNR_CACHE_BACKOFF_MS, ...). Throws
+/// std::invalid_argument on an empty list or a malformed or duplicated url.
 [[nodiscard]] std::unique_ptr<ShardedCacheBackend> make_sharded_cache_backend(
     const std::vector<std::string>& urls);
 

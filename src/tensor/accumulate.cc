@@ -128,21 +128,9 @@ float ReductionPlan::reduce(std::span<const float> values) const noexcept {
 float ReductionPlan::reduce_dot(std::span<const float> a,
                                 std::span<const float> b) const noexcept {
   assert(a.size() == b.size());
-  return reduce_dot_strided(a.data(), b.data(),
-                            static_cast<std::int64_t>(a.size()), 1);
-}
-
-float ReductionPlan::reduce_dot_strided(const float* a, const float* b,
-                                        std::int64_t k,
-                                        std::int64_t b_stride) const noexcept {
-  assert(k == k_);
-  if (k == 0) return 0.0F;
-  if (lanes_ == 1) {
-    if (b_stride == 1) return unrolled_dot(a, b, 0, k);
-    float acc = 0.0F;
-    for (std::int64_t i = 0; i < k; ++i) acc += a[i] * b[i * b_stride];
-    return acc;
-  }
+  assert(static_cast<std::int64_t>(a.size()) == k_);
+  if (k_ == 0) return 0.0F;
+  if (lanes_ == 1) return unrolled_dot(a.data(), b.data(), 0, k_);
   float partials_buf[512];
   std::vector<float> partials_heap;
   std::span<float> partials;
@@ -153,14 +141,9 @@ float ReductionPlan::reduce_dot_strided(const float* a, const float* b,
     partials = partials_heap;
   }
   for (int l = 0; l < lanes_; ++l) {
-    const auto [begin, end] = lane_range(l, lanes_, k);
-    if (b_stride == 1) {
-      partials[static_cast<std::size_t>(l)] = unrolled_dot(a, b, begin, end);
-    } else {
-      float acc = 0.0F;
-      for (std::int64_t i = begin; i < end; ++i) acc += a[i] * b[i * b_stride];
-      partials[static_cast<std::size_t>(l)] = acc;
-    }
+    const auto [begin, end] = lane_range(l, lanes_, k_);
+    partials[static_cast<std::size_t>(l)] =
+        unrolled_dot(a.data(), b.data(), begin, end);
   }
   return combine(partials);
 }

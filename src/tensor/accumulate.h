@@ -62,11 +62,6 @@ class ReductionPlan {
   [[nodiscard]] float reduce_dot(std::span<const float> a,
                                  std::span<const float> b) const noexcept;
 
-  /// Strided-dot variant for GEMM inner loops: dot of a[i] with b[i*stride].
-  [[nodiscard]] float reduce_dot_strided(const float* a, const float* b,
-                                         std::int64_t k,
-                                         std::int64_t b_stride) const noexcept;
-
   [[nodiscard]] AccumOrder order() const noexcept { return order_; }
   [[nodiscard]] int lanes() const noexcept { return lanes_; }
   [[nodiscard]] std::span<const std::uint32_t> combine_order() const noexcept {

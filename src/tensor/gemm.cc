@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -137,10 +138,11 @@ void micro_tile(const float* a, std::int64_t lda, const float* bp,
 void gemm_nt_loop(const float* pa, const float* pb, float* pc, std::int64_t m,
                   std::int64_t n, std::int64_t k,
                   const ReductionPlan& plan) noexcept {
+  const auto len = static_cast<std::size_t>(k);
   for (std::int64_t i = 0; i < m; ++i) {
-    const float* row_a = pa + i * k;
+    const std::span<const float> row_a(pa + i * k, len);
     for (std::int64_t j = 0; j < n; ++j) {
-      pc[i * n + j] = plan.reduce_dot_strided(row_a, pb + j * k, k, 1);
+      pc[i * n + j] = plan.reduce_dot(row_a, {pb + j * k, len});
     }
   }
 }
@@ -240,10 +242,11 @@ void gemm_nt_blocked(const float* pa, const float* pb, float* pc,
       // Column remainder (and whole short row blocks): the reference kernel
       // per element — trivially bit-exact.
       const std::int64_t j0 = (mr == kMr) ? jblocks * kNr : 0;
+      const auto len = static_cast<std::size_t>(k);
       for (std::int64_t i = i0; i < i0 + mr; ++i) {
-        const float* row_a = pa + i * k;
+        const std::span<const float> row_a(pa + i * k, len);
         for (std::int64_t j = j0; j < n; ++j) {
-          pc[i * n + j] = plan.reduce_dot_strided(row_a, pb + j * k, k, 1);
+          pc[i * n + j] = plan.reduce_dot(row_a, {pb + j * k, len});
         }
       }
     }

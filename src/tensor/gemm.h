@@ -47,7 +47,7 @@ struct KernelPolicy {
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 
-/// The seed triple loop: one reduce_dot_strided per output element. Kept as
+/// The seed triple loop: one reduce_dot per output element. Kept as
 /// the semantic definition of gemm_nt — the determinism suite asserts the
 /// blocked engine matches it bit-for-bit, and the micro benches report the
 /// speedup against it.

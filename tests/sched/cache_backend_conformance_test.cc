@@ -167,9 +167,8 @@ class CacheBackendConformance
           "tcp://127.0.0.1:" + std::to_string(server_.port()),
           fast_client_options());
     }
-    ShardedCacheOptions options;
-    options.remote = fast_client_options();
-    options.jitter_seed = 0x5EED;  // pinned: reproducible probe schedule
+    RemoteCacheOptions options = fast_client_options();
+    options.jitter_seed = 0x5EED;  // pinned: reproducible backoff schedule
     return std::make_unique<ShardedCacheBackend>(shard_urls(), options);
   }
 
@@ -620,69 +619,6 @@ TEST_F(RemoteCacheTest, ReconnectsAfterDaemonRestart) {
   ASSERT_TRUE(loaded.has_value()) << "client must reconnect to a restarted "
                                      "daemon";
   expect_bitwise_equal(*loaded, sample_result());
-}
-
-TEST_F(RemoteCacheTest, ReconnectAfterExplicitDisconnectIsImmediate) {
-  // The sharded tier's probe path relies on disconnect() being a FULL
-  // per-connection reset: after it, the next operation must attempt a
-  // real connect immediately, not fail fast inside a backoff window armed
-  // by earlier failures.
-  ASSERT_TRUE(server_.start(dir_.string()));
-  const std::uint16_t port = server_.port();
-  RemoteCacheOptions options = fast_client_options();
-  options.reconnect_backoff_ms = 60'000;  // any armed window outlives the test
-  options.reconnect_backoff_max_ms = 120'000;
-  auto backend = client(options);
-  const CellKey key{4, 4};
-  ASSERT_TRUE(backend->store(key, sample_result()));
-
-  server_.stop();
-  // First failure drops the connection; the second attempts a reconnect,
-  // fails, and arms the 60s fail-fast window.
-  EXPECT_FALSE(backend->load(key).has_value());
-  EXPECT_FALSE(backend->load(key).has_value());
-
-  ServerHandle restarted;
-  ASSERT_TRUE(restarted.start(dir_.string(), port));
-  EXPECT_FALSE(backend->load(key, nullptr, /*count_miss=*/false).has_value())
-      << "inside the armed backoff window the client must fail fast, "
-         "daemon or no daemon";
-
-  backend->disconnect();
-  const auto loaded = backend->load(key, nullptr, /*count_miss=*/false);
-  ASSERT_TRUE(loaded.has_value())
-      << "disconnect() must clear the backoff window so the very next "
-         "operation reconnects";
-  expect_bitwise_equal(*loaded, sample_result());
-  EXPECT_TRUE(backend->connected());
-}
-
-TEST_F(RemoteCacheTest, ExplicitDisconnectReleasesLeases) {
-  ASSERT_TRUE(server_.start(dir_.string()));
-  auto holder = client(fast_client_options());
-  auto peer = client(fast_client_options());
-
-  const CellKey key{14, 14};
-  auto claim = holder->try_claim(key);
-  ASSERT_TRUE(claim.has_value());
-  EXPECT_FALSE(peer->try_claim(key).has_value());
-
-  // Explicit disconnect forgets the lease client-side (so the heartbeat
-  // thread stops renewing it) and the daemon frees it on the TCP close.
-  holder->disconnect();
-  EXPECT_FALSE(holder->connected());
-  const auto start = Clock::now();
-  std::optional<CacheClaim> reclaimed;
-  while (!reclaimed.has_value() &&
-         Clock::now() - start < std::chrono::seconds(5)) {
-    reclaimed = peer->try_claim(key);
-    if (!reclaimed.has_value()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  EXPECT_TRUE(reclaimed.has_value())
-      << "an explicitly disconnected client's leases must be released";
-  claim.reset();  // stale release after disconnect: harmless no-op
 }
 
 TEST_F(RemoteCacheTest, DaemonRejectsInvalidPutPayload) {

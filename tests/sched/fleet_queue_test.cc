@@ -1,7 +1,7 @@
 // FleetQueue state machine in isolation: submit dedup, FIFO fetch, the
 // leased -> pending requeue paths (lease death, kFailed up to kMaxAttempts),
-// PUT-time completion (on_stored), wave reset, and snapshot durability —
-// a reloaded queue must revert leased items to pending and keep done ones.
+// wave reset, and snapshot durability — a reloaded queue must revert leased
+// items to pending and keep done ones.
 #include "sched/fleet_queue.h"
 
 #include <filesystem>
@@ -131,25 +131,6 @@ TEST(FleetQueueTest, FailedReportRequeuesUpToMaxAttemptsThenParks) {
   EXPECT_EQ(s.done, 1u);
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(q.outstanding(), 0u) << "a parked item must not wedge the drain";
-}
-
-TEST(FleetQueueTest, OnStoredSettlesTheItemEvenWithoutAReport) {
-  FleetQueue q("");
-  q.submit(items(1), kNoEntry);
-  const auto fetched = q.fetch_next(kAlwaysAvailable);
-  ASSERT_TRUE(fetched.has_value());
-  // Worker PUT the entry, then was SIGKILLed before REPORT: the store is
-  // the proof of work.
-  q.on_stored(fetched->key);
-  const auto s = q.stats();
-  EXPECT_EQ(s.done, 1u);
-  EXPECT_EQ(s.trained, 1u);
-  // The lease dying afterwards must NOT requeue the settled item...
-  q.release_to_pending(fetched->key);
-  EXPECT_EQ(q.stats().pending, 0u);
-  // ...and a late report just acknowledges it without changing the tally.
-  EXPECT_TRUE(q.report(fetched->key, FleetQueue::Outcome::kTrained));
-  EXPECT_EQ(q.stats().trained, 1u);
 }
 
 TEST(FleetQueueTest, ReportForUnknownKeyIsRejected) {

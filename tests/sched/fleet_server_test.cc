@@ -2,8 +2,9 @@
 // against an in-process CacheServer — the drain signal on an empty queue,
 // kGone for reports nobody leased, the malformation matrix for the three
 // new opcodes (truncated bodies cost the connection, never the daemon;
-// out-of-range enum values answer kError), lease-death requeue paths, the
-// PUT-settles-the-item contract, and queue durability across a daemon
+// out-of-range enum values answer kError), lease-death requeue paths
+// (including a worker lost between its PUT and its REPORT, whose cell the
+// next worker settles as served), and queue durability across a daemon
 // restart.
 #include <chrono>
 #include <filesystem>
@@ -346,31 +347,45 @@ TEST_F(FleetServerTest, LeaseExpiryWithoutHeartbeatRequeuesTheCell) {
   EXPECT_EQ(refetch->item.key, grid(1)[0].key);
 }
 
-TEST_F(FleetServerTest, PutSettlesTheItemEvenWithoutAReport) {
-  auto backend = client();
-  ASSERT_TRUE(backend->fleet_submit(grid(1)).has_value());
-  auto fetch = backend->fleet_fetch();
+TEST_F(FleetServerTest, UnreportedPutRequeuesTheCellForAPeerToServe) {
+  auto worker = client();
+  ASSERT_TRUE(worker->fleet_submit(grid(1)).has_value());
+  auto fetch = worker->fleet_fetch();
   ASSERT_TRUE(fetch.has_value());
   ASSERT_TRUE(fetch->granted);
-  // The worker PUTs its result... and then (imagine) is SIGKILLed before
-  // REPORT. The store is the proof of work.
-  ASSERT_TRUE(backend->store(fetch->item.key, sample_result()));
-  auto stat = backend->fleet_queue_stat();
+  // The worker PUTs its result and vanishes before REPORT: the dropped
+  // connection releases its lease, and the PUT alone settles nothing.
+  ASSERT_TRUE(worker->store(fetch->item.key, sample_result()));
+  worker->drop_connection_for_test();
+
+  auto peer = client();
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  std::optional<FleetQueue::Stats> stat;
+  while (Clock::now() < deadline) {
+    stat = peer->fleet_queue_stat();
+    if (stat.has_value() && stat->pending == 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   ASSERT_TRUE(stat.has_value());
-  EXPECT_EQ(stat->trained, 1u) << "PUT must settle the queued item";
+  EXPECT_EQ(stat->pending, 1u)
+      << "the unreported cell must return to the queue";
+  EXPECT_EQ(stat->done, 0u) << "a PUT must not settle the item";
+
+  // The next worker finds the stored result and settles the cell as served.
+  auto refetch = peer->fleet_fetch();
+  ASSERT_TRUE(refetch.has_value());
+  ASSERT_TRUE(refetch->granted);
+  EXPECT_EQ(refetch->item.key, fetch->item.key);
+  ASSERT_TRUE(peer->load(refetch->item.key).has_value());
+  const auto report = peer->fleet_report(
+      refetch->item.key, refetch->lease_id, net::ReportOutcome::kServed);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->done, 1u);
+  stat = peer->fleet_queue_stat();
+  ASSERT_TRUE(stat.has_value());
+  EXPECT_EQ(stat->trained, 0u);
+  EXPECT_EQ(stat->served, 1u);
   EXPECT_EQ(stat->done, 1u);
-  // A late report is acknowledged without double counting.
-  (void)backend->fleet_report(fetch->item.key, fetch->lease_id,
-                              net::ReportOutcome::kTrained);
-  stat = backend->fleet_queue_stat();
-  ASSERT_TRUE(stat.has_value());
-  EXPECT_EQ(stat->trained, 1u);
-  // And the drain signal now fires for every worker.
-  const auto drained = backend->fleet_fetch();
-  ASSERT_TRUE(drained.has_value());
-  EXPECT_FALSE(drained->granted);
-  EXPECT_EQ(drained->outstanding, 0u);
-  EXPECT_EQ(drained->total, 1u);
 }
 
 TEST_F(FleetServerTest, DaemonRestartPreservesThePendingQueue) {

