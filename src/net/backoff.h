@@ -12,9 +12,16 @@
 //     jitter stream is Philox-driven (rng/philox.h) so a test can pin the
 //     seed and assert the exact schedule; production callers default to a
 //     pid-derived seed, which is what actually spreads a fleet out.
+//
+// retry() is the one client-side "sleep and try again" loop. It is bounded
+// by time, never by an attempt count: attempts that fail fast inside a
+// reconnect window would exhaust a count in milliseconds.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 
 #include "rng/philox.h"
 
@@ -44,10 +51,10 @@ class Backoff {
   Backoff(std::int64_t base_ms, std::int64_t max_ms,
           std::uint64_t seed) noexcept;
 
-  /// The next wait: jitter.around(min(base << failures, max)). The cap
-  /// bounds the window; jitter widens it +-50%, so the worst wait is
-  /// 1.5 * max_ms.
-  [[nodiscard]] std::int64_t next_ms() noexcept;
+  /// The next wait: jitter.around(max(min(base << failures, max),
+  /// floor_ms)). The cap bounds the window and `floor_ms` (a server's
+  /// retry-after hint) raises it; jitter widens it +-50%.
+  [[nodiscard]] std::int64_t next_ms(std::int64_t floor_ms = 0) noexcept;
 
   void reset() noexcept { failures_ = 0; }
   [[nodiscard]] int failures() const noexcept { return failures_; }
@@ -58,5 +65,33 @@ class Backoff {
   int failures_ = 0;
   Jitter jitter_;
 };
+
+/// Runs `attempt` until it returns true or `budget_ms` has passed since its
+/// first failure; returns whether an attempt succeeded. Each run is called
+/// as attempt(hint_ms) with hint_ms == 0 and may set it to a server's
+/// retry-after hint. Between runs it sleeps backoff.next_ms(hint_ms),
+/// clipped so that no sleep ends past the budget. Nothing is held while it
+/// sleeps — an attempt takes and drops its own locks — and the first run
+/// costs no clock read and no allocation, so a request path can wrap every
+/// request in it.
+template <typename Attempt>
+bool retry(Backoff& backoff, std::int64_t budget_ms, Attempt&& attempt) {
+  std::int64_t hint_ms = 0;
+  if (attempt(hint_ms)) return true;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(budget_ms);
+  for (;;) {
+    const std::int64_t left_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                              Clock::now())
+            .count();
+    if (left_ms <= 0) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        std::min(backoff.next_ms(hint_ms), left_ms)));
+    hint_ms = 0;
+    if (attempt(hint_ms)) return true;
+  }
+}
 
 }  // namespace nnr::net

@@ -20,6 +20,7 @@
 #include "net/cache_protocol.h"
 #include "net/fault_injector.h"
 #include "net/frame.h"
+#include "serialize/atomic_file.h"
 #include "serialize/run_result.h"
 
 namespace nnr::sched {
@@ -128,8 +129,14 @@ void CacheServer::load_or_create_shard_identity() {
   }
   dir_uid_ = uid;
   boot_epoch_ = epoch + 1;
-  std::ofstream out(path, std::ios::trunc);
-  out << "uid " << dir_uid_ << "\nepoch " << boot_epoch_ << "\n";
+  if (!serialize::write_file_atomic(
+          path.string(), "uid " + std::to_string(dir_uid_) + "\nepoch " +
+                             std::to_string(boot_epoch_) + "\n")) {
+    std::fprintf(stderr,
+                 "[nnr_cached] cannot persist %s: the next start mints a new "
+                 "directory uid\n",
+                 path.c_str());
+  }
 }
 
 void CacheServer::stop() noexcept {

@@ -20,19 +20,38 @@ namespace nnr::sched {
 
 namespace {
 
-void sleep_ms(std::int64_t ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-net::Jitter make_jitter(std::uint64_t seed) {
-  return net::Jitter(seed != 0 ? seed : net::default_jitter_seed());
-}
+/// Poll interval of the QUEUE_STAT wait and of a FETCH that found every
+/// pending cell held by other workers.
+constexpr std::int64_t kPollMs = 500;
+/// Poll interval of a FETCH while the queue daemon is unreachable.
+constexpr std::int64_t kDegradedPollMs = 1000;
 
 }  // namespace
 
+bool retry_within_lease(const RemoteCacheBackend& client,
+                        const std::function<bool()>& attempt) {
+  const RemoteCacheOptions& options = client.options();
+  net::Backoff backoff(options.reconnect_backoff_ms,
+                       options.reconnect_backoff_max_ms,
+                       net::default_jitter_seed());
+  return net::retry(backoff, options.lease_ttl_ms,
+                    [&](std::int64_t&) { return attempt(); });
+}
+
+bool retry_until_answered(const RemoteCacheBackend& client,
+                          const std::function<bool()>& request) {
+  return retry_within_lease(client, [&] {
+    // Not connected() alone: the heartbeat thread may reconnect between a
+    // lost request and the check, which would pass the loss off as an
+    // answer.
+    const std::uint64_t connection = client.connection_id();
+    return request() ||
+           (connection != 0 && client.connection_id() == connection);
+  });
+}
+
 std::optional<FleetSubmitSummary> fleet_submit_and_wait(
-    RemoteCacheBackend& backend, const std::vector<std::string>& studies,
-    const FleetSubmitOptions& options) {
+    RemoteCacheBackend& backend, const std::vector<std::string>& studies) {
   FleetSubmitSummary summary;
   std::vector<FleetWorkItem> items;
   // Studies share cells (fig1 and table2 share most V100 cells), so the
@@ -63,15 +82,13 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
     }
   }
 
-  net::Jitter jitter = make_jitter(options.jitter_seed);
-  auto ack = backend.fleet_submit(items);
-  for (std::int64_t attempt = 0; !ack.has_value() && attempt < options.submit_retries;
-       ++attempt) {
-    // SUBMIT is idempotent (the daemon dedupes), so a lost frame or a
-    // daemon mid-restart costs a retry, not the wave.
-    sleep_ms(jitter.around(options.poll_ms));
+  // SUBMIT is idempotent (the daemon dedupes), so a lost frame or a
+  // daemon mid-restart costs a retry, not the wave.
+  std::optional<RemoteCacheBackend::FleetSubmitAck> ack;
+  (void)retry_within_lease(backend, [&] {
     ack = backend.fleet_submit(items);
-  }
+    return ack.has_value();
+  });
   if (!ack.has_value()) {
     std::fprintf(stderr,
                  "[fleet] submit failed: %s unreachable or predates the work "
@@ -90,6 +107,7 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
                static_cast<unsigned long long>(ack->already_done),
                static_cast<long long>(summary.uncacheable));
 
+  net::Jitter jitter(net::default_jitter_seed());
   ProgressPrinter printer(/*min_interval_ms=*/1000);
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
@@ -126,12 +144,12 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
     // A failed poll is a daemon hiccup or restart — the queue snapshot
     // survives restarts, so just keep polling (jittered, so a herd of
     // coordinators spreads its stat load).
-    sleep_ms(jitter.around(options.poll_ms));
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(jitter.around(kPollMs)));
   }
 }
 
-FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
-                                    const FleetWorkerOptions& options) {
+FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier) {
   FleetWorkerSummary summary;
   RemoteCacheBackend& queue = tier.shard(0);
   // Plans rebuilt once per study name; nullopt caches "unknown study" so a
@@ -150,22 +168,18 @@ FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
     return it->second.has_value() ? &*it->second : nullptr;
   };
 
-  net::Jitter jitter = make_jitter(options.jitter_seed);
+  net::Jitter jitter(net::default_jitter_seed());
   for (;;) {
-    if (options.max_cells > 0 && summary.fetched >= options.max_cells) break;
     auto fetch = queue.fleet_fetch();
-    if (!fetch.has_value()) {  // degraded: daemon unreachable right now
-      sleep_ms(jitter.around(options.degraded_poll_ms));
-      continue;
-    }
-    if (!fetch->granted) {
+    if (!fetch.has_value() || !fetch->granted) {
       // outstanding == 0 with total > 0: the wave is complete. total == 0:
-      // nothing submitted yet — wait for a coordinator.
-      if (fetch->outstanding == 0 && fetch->total > 0 &&
-          options.exit_when_drained) {
+      // nothing submitted yet — wait for a coordinator. nullopt: the daemon
+      // is unreachable right now.
+      if (fetch.has_value() && fetch->outstanding == 0 && fetch->total > 0) {
         break;
       }
-      sleep_ms(jitter.around(options.poll_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          jitter.around(fetch.has_value() ? kPollMs : kDegradedPollMs)));
       continue;
     }
 
@@ -173,18 +187,12 @@ FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
     const FleetWorkItem& work = fetch->item;
     const auto report = [&](net::ReportOutcome outcome) {
       // REPORT is the only settlement path, so an undelivered REPORT is
-      // retried. nullopt with the connection still up is a daemon ANSWER
-      // (kGone: the lease expired) — final, not retryable; a delivery
-      // failure always drops the connection.
-      for (std::int64_t attempt = 0;; ++attempt) {
-        if (queue.fleet_report(work.key, fetch->lease_id, outcome)
-                .has_value() ||
-            queue.connected() || attempt >= options.report_retries) {
-          return;
-        }
-        sleep_ms(
-            jitter.around(std::max<std::int64_t>(options.store_retry_ms, 1)));
-      }
+      // retried. A daemon answer such as kGone (the lease expired) is
+      // final.
+      (void)retry_until_answered(queue, [&] {
+        return queue.fleet_report(work.key, fetch->lease_id, outcome)
+            .has_value();
+      });
     };
 
     const StudyPlan* plan = plan_for(work.study);
@@ -234,14 +242,16 @@ FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
                    e.what());
       trained_ok = false;
     }
-    bool stored = trained_ok && tier.store(work.key, result);
-    for (std::int64_t attempt = 0;
-         trained_ok && !stored && attempt < options.store_retries; ++attempt) {
-      // The training is in hand; only the PUT failed (daemon hiccup,
-      // dropped frame). Re-sending is far cheaper than reporting kFailed
-      // and having another worker retrain the whole cell.
-      sleep_ms(jitter.around(std::max<std::int64_t>(options.store_retry_ms, 1)));
-      stored = tier.store(work.key, result);
+    // The training is in hand; an undelivered PUT (shard restarting,
+    // dropped frame) is re-sent, far cheaper than reporting kFailed and
+    // having another worker retrain the whole cell. The owner shard's
+    // answer is final, even a refusal (disk full).
+    bool stored = false;
+    if (trained_ok) {
+      (void)retry_until_answered(tier.shard(tier.shard_for(work.key)), [&] {
+        stored = tier.store(work.key, result);
+        return stored;
+      });
     }
     if (!stored) {
       // A result we can't persist is indistinguishable from no result to

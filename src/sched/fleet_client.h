@@ -24,10 +24,14 @@
 //
 // Both loops degrade like the rest of the remote backend: an unreachable
 // or restarted daemon costs retries (the daemon's queue snapshot survives a
-// restart), never wrong results.
+// restart), never wrong results. Every retry follows one rule,
+// retry_within_lease(); the polls that wait for queue state sleep a fixed
+// interval, jittered +-50% so N processes started together do not hammer a
+// recovering daemon in phase.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,19 +41,20 @@ namespace nnr::sched {
 class RemoteCacheBackend;
 class ShardedCacheBackend;
 
-struct FleetSubmitOptions {
-  /// QUEUE_STAT poll interval while waiting for the fleet to drain
-  /// (jittered +-50% per sleep; see jitter_seed).
-  std::int64_t poll_ms = 500;
-  /// A failed SUBMIT RPC is retried this many times (jittered poll_ms
-  /// apart) before the coordinator gives up. SUBMIT is idempotent — the
-  /// daemon dedupes resubmitted keys — so a retry can only cost duplicate
-  /// counts, never duplicate work; without it one dropped frame at submit
-  /// time would abort a whole wave.
-  std::int64_t submit_retries = 10;
-  /// Seed of the poll-jitter stream; 0 = pid-derived (production default).
-  std::uint64_t jitter_seed = 0;
-};
+/// The fleet's retry rule: runs `attempt` through net::retry for up to one
+/// of `client`'s lease TTLs — the time the fleet already lets a cell sit
+/// unreported — paced by the client's reconnect backoff, so retries land
+/// as its reconnect windows open. The coordinator's PING and SUBMIT and the
+/// worker's PUT and REPORT all use it. Returns whether an attempt succeeded.
+bool retry_within_lease(const RemoteCacheBackend& client,
+                        const std::function<bool()>& attempt);
+
+/// retry_within_lease() for one request on `client` whose refusal is final
+/// (the worker's PUT and REPORT): `request` is re-sent only while it fails
+/// undelivered, and the retry ends once it succeeds or the daemon answers —
+/// even a refusal such as a full disk. Returns whether it was answered.
+bool retry_until_answered(const RemoteCacheBackend& client,
+                          const std::function<bool()>& request);
 
 struct FleetSubmitSummary {
   std::uint64_t submitted = 0;     // newly enqueued by this submit
@@ -67,41 +72,12 @@ struct FleetSubmitSummary {
 /// sched/registry.h; the caller validates names first) to `backend`, the
 /// queue daemon's client (shard(0) of the cache tier), and blocks until the
 /// fleet drains the queue, printing the [fleet] progress line to stderr.
-/// nullopt when the submit RPC fails submit_retries + 1 times (daemon
+/// SUBMIT is idempotent — the daemon dedupes resubmitted keys — so it is
+/// retried within one lease TTL; nullopt when it never gets through (daemon
 /// unreachable, or a pre-queue daemon answering kError). Daemon restarts
-/// during the wait are tolerated: failed polls just retry after poll_ms.
+/// during the wait are tolerated: a failed QUEUE_STAT poll just polls again.
 [[nodiscard]] std::optional<FleetSubmitSummary> fleet_submit_and_wait(
-    RemoteCacheBackend& backend, const std::vector<std::string>& studies,
-    const FleetSubmitOptions& options = {});
-
-struct FleetWorkerOptions {
-  /// Sleep between FETCH attempts while the queue has outstanding work
-  /// held by other workers (nothing fetchable right now). Every sleep in
-  /// the worker is jittered +-50%, so N workers started together do not
-  /// hammer a recovering daemon in phase.
-  std::int64_t poll_ms = 500;
-  /// Sleep while the daemon is unreachable before retrying.
-  std::int64_t degraded_poll_ms = 1000;
-  /// Exit once the queue reports no outstanding work (outstanding == 0,
-  /// total > 0). False keeps the worker alive for the next submit wave.
-  bool exit_when_drained = true;
-  /// Test hook: stop after this many granted cells (0 = unlimited).
-  std::int64_t max_cells = 0;
-  /// A failed store of a finished training run is retried this many times
-  /// (jittered store_retry_ms apart) before the cell is reported kFailed.
-  /// Training is the expensive part: under a flaky network, re-sending a
-  /// PUT is vastly cheaper than burning one of the queue's bounded
-  /// attempts and retraining the cell elsewhere.
-  std::int64_t store_retries = 3;
-  std::int64_t store_retry_ms = 200;
-  /// A failed REPORT RPC is retried this many times (jittered
-  /// store_retry_ms apart). REPORT is the only way a cell settles, so a
-  /// dropped frame should cost a retry rather than the lease: a lost lease
-  /// requeues the cell and another worker settles it as served.
-  std::int64_t report_retries = 3;
-  /// Seed of the jitter stream; 0 = pid-derived (production default).
-  std::uint64_t jitter_seed = 0;
-};
+    RemoteCacheBackend& backend, const std::vector<std::string>& studies);
 
 struct FleetWorkerSummary {
   std::int64_t fetched = 0;
@@ -110,12 +86,11 @@ struct FleetWorkerSummary {
   std::int64_t failed = 0;  // reported kFailed (daemon may retry the cell)
 };
 
-/// The worker loop. Returns when the queue drains (see
-/// FleetWorkerOptions::exit_when_drained) or max_cells is reached.
-/// Queue RPCs (FETCH/REPORT) go to `tier.shard(0)`; entry traffic (load
-/// before train, PUT after) goes through `tier`, so each result lands on
-/// its key's owner shard.
-FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier,
-                                    const FleetWorkerOptions& options = {});
+/// The worker loop. Returns once the queue reports no outstanding work
+/// (outstanding == 0, total > 0). Queue RPCs (FETCH/REPORT) go to
+/// `tier.shard(0)`; entry traffic (load before train, PUT after) goes
+/// through `tier`, so each result lands on its key's owner shard. PUT and
+/// REPORT go through retry_until_answered().
+FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier);
 
 }  // namespace nnr::sched

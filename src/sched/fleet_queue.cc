@@ -1,20 +1,17 @@
 #include "sched/fleet_queue.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <system_error>
 #include <utility>
 
+#include "serialize/atomic_file.h"
 #include "serialize/binary_io.h"
 #include "serialize/checkpoint.h"
 
 namespace nnr::sched {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Snapshot format: magic | u32 format | u64 count | count x item | trailer.
 /// Items persist as (key, study, cell, replicate, state, outcome, attempts);
@@ -106,22 +103,8 @@ void FleetQueue::persist() const {
     if (written.count(key) != 0) continue;
     put_item(item);
   }
-  const std::string payload = w.finish();
-  const std::string tmp = snapshot_path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // persistence is best-effort
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, snapshot_path_, ec);
-  if (ec) fs::remove(tmp, ec);
+  // Best-effort: a lost snapshot costs a restart its queue, never a result.
+  (void)serialize::write_file_atomic(snapshot_path_, w.finish());
 }
 
 void FleetQueue::push_pending(const CellKey& key) {

@@ -21,7 +21,7 @@
 //
 // Durability: every state change that must survive a daemon restart
 // (submit, done, requeue-with-attempts) rewrites a snapshot file inside
-// the cache directory (temp + rename, magic + FNV-1a trailer via
+// the cache directory (serialize/atomic_file.h; magic + FNV-1a trailer via
 // serialize/binary_io.h). Leases are volatile by design — on load every
 // leased item reverts to pending, the restart analogue of lease expiry —
 // so FETCH transitions never touch disk.

@@ -1,20 +1,17 @@
 #include "sched/fs_cache_backend.h"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "core/env.h"
 #include "runtime/parse_int.h"
+#include "serialize/atomic_file.h"
 #include "serialize/run_result.h"
 
 namespace nnr::sched {
@@ -116,9 +113,9 @@ void rank_lru(std::vector<EntryInfo>& entries,
   sort_lru(entries);
 }
 
-/// True when the pid embedded in a temp-file name still names a live
-/// process (alive or unkillable-but-present). Unparsable pids count as
-/// dead — the file can only be an orphan from a crashed writer.
+/// True when the pid embedded in a temp-file name (serialize::temp_path_for)
+/// still names a live process (alive or unkillable-but-present). Unparsable
+/// pids count as dead — the file can only be an orphan from a crashed writer.
 bool tmp_owner_alive(const std::string& name) {
   const auto pos = name.rfind(".tmp");
   if (pos == std::string::npos) return false;
@@ -130,27 +127,12 @@ bool tmp_owner_alive(const std::string& name) {
   return ::kill(static_cast<pid_t>(*pid), 0) == 0 || errno == EPERM;
 }
 
-/// Unique temp name per (process, thread) writer — benches legitimately
-/// share one cache dir across processes — renamed into place so concurrent
-/// readers never observe a half-written entry.
-std::string temp_name(const std::string& path) {
-  return path + ".tmp" + std::to_string(::getpid()) + "." +
-         std::to_string(
-             std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
 }  // namespace
 
 FsCacheBackend::FsCacheBackend(std::string dir, std::int64_t budget_bytes)
     : dir_(std::move(dir)),
       budget_(std::max<std::int64_t>(budget_bytes, 0)),
       journal_((fs::path(dir_) / kJournalName).string()) {}
-
-FsCacheBackend FsCacheBackend::from_env() {
-  const char* dir = std::getenv("NNR_CACHE_DIR");
-  return FsCacheBackend(dir != nullptr ? dir : "",
-                        core::env_int("NNR_CACHE_BUDGET", 0));
-}
 
 std::string FsCacheBackend::path_for(const CellKey& key) const {
   return (fs::path(dir_) / (key.hex() + ".rr")).string();
@@ -178,20 +160,9 @@ void FsCacheBackend::ensure_dir_and_manifest() {
   // initializing one fresh dir don't interleave partial writes.
   auto lock = FileLock::try_acquire(gc_lock_path());
   if (!lock.has_value()) return;  // a peer is writing it right now
-  const std::string tmp = manifest + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;
-    out << "nnr-replicate-cache v1\n"
-        << "cell_key_version=" << kCellKeyVersion << "\n";
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, manifest, ec);
-  if (ec) fs::remove(tmp, ec);
+  (void)serialize::write_file_atomic(
+      manifest, "nnr-replicate-cache v1\ncell_key_version=" +
+                    std::to_string(kCellKeyVersion) + "\n");
 }
 
 std::optional<core::RunResult> FsCacheBackend::load(const CellKey& key,
@@ -261,74 +232,29 @@ std::optional<std::string> FsCacheBackend::load_bytes(const CellKey& key) {
 
 bool FsCacheBackend::store(const CellKey& key, const core::RunResult& result,
                            CacheStats* run) {
-  if (!enabled()) return false;
-  const std::string path = path_for(key);
-  const std::string tmp = temp_name(path);
-  std::error_code ec;
-  ensure_dir_and_manifest();
-  std::uint64_t bytes = 0;
-  try {
-    bytes = serialize::save_run_result(tmp, result, key.hi, key.lo);
-  } catch (const serialize::CheckpointError&) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  touch(key);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stores;
-    stats_.bytes_written += static_cast<std::int64_t>(bytes);
-    if (run != nullptr) {
-      ++run->stores;
-      run->bytes_written += static_cast<std::int64_t>(bytes);
-    }
-  }
-  if (budget_ > 0) {
-    if (approx_bytes_.load(std::memory_order_relaxed) >= 0) {
-      approx_bytes_.fetch_add(static_cast<std::int64_t>(bytes),
-                              std::memory_order_relaxed);
-    }
-    maybe_evict();
-  }
-  return true;
+  return store_bytes(key, serialize::encode_run_result(result, key.hi, key.lo),
+                     run);
 }
 
-bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes) {
+bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes,
+                                 CacheStats* run) {
   if (!enabled()) return false;
-  const std::string path = path_for(key);
-  const std::string tmp = temp_name(path);
-  std::error_code ec;
   ensure_dir_and_manifest();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
+  if (!serialize::write_file_atomic(path_for(key), bytes)) return false;
   touch(key);
+  const auto size = static_cast<std::int64_t>(bytes.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.stores;
-    stats_.bytes_written += static_cast<std::int64_t>(bytes.size());
+    stats_.bytes_written += size;
+    if (run != nullptr) {
+      ++run->stores;
+      run->bytes_written += size;
+    }
   }
   if (budget_ > 0) {
     if (approx_bytes_.load(std::memory_order_relaxed) >= 0) {
-      approx_bytes_.fetch_add(static_cast<std::int64_t>(bytes.size()),
-                              std::memory_order_relaxed);
+      approx_bytes_.fetch_add(size, std::memory_order_relaxed);
     }
     maybe_evict();
   }

@@ -62,10 +62,6 @@ class FsCacheBackend final : public CacheBackend {
   /// eviction; <= 0 means unlimited.
   explicit FsCacheBackend(std::string dir, std::int64_t budget_bytes = 0);
 
-  /// Cache configured from the environment: NNR_CACHE_DIR (unset disables)
-  /// and NNR_CACHE_BUDGET (bytes; unset/invalid means unlimited).
-  [[nodiscard]] static FsCacheBackend from_env();
-
   [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] std::int64_t budget() const noexcept { return budget_; }
@@ -91,10 +87,12 @@ class FsCacheBackend final : public CacheBackend {
   /// reads advance LRU recency like local ones.
   [[nodiscard]] std::optional<std::string> load_bytes(const CellKey& key);
 
-  /// Stores pre-validated raw bytes under `key` (the daemon's PUT path).
-  /// Same atomic temp-file + rename, journal touch, and budget-eviction
-  /// hook as store().
-  bool store_bytes(const CellKey& key, std::string_view bytes);
+  /// Stores pre-validated raw bytes under `key` (the daemon's PUT path, and
+  /// store() after encoding): an atomic temp-file + rename
+  /// (serialize/atomic_file.h), a journal touch, and the budget-eviction
+  /// hook.
+  bool store_bytes(const CellKey& key, std::string_view bytes,
+                   CacheStats* run = nullptr);
 
   /// True when an entry file for `key` exists right now — a pure existence
   /// probe (the daemon's SUBMIT dedupe path). Unlike load/load_bytes it

@@ -75,9 +75,9 @@ RemoteCacheBackend::RemoteCacheBackend(const std::string& url,
                          options.jitter_seed != 0
                              ? options.jitter_seed
                              : net::default_jitter_seed()),
-      throttle_jitter_(options.jitter_seed != 0
-                           ? options.jitter_seed + 1
-                           : net::default_jitter_seed() ^ 0x5452ull) {
+      throttle_seed_(options.jitter_seed != 0
+                         ? options.jitter_seed + 1
+                         : net::default_jitter_seed() ^ 0x5452ull) {
   if (!parse_url(url, &host_, &port_)) {
     throw std::invalid_argument(
         "cache url must be tcp://host:port, got '" + url + "'");
@@ -151,6 +151,13 @@ bool RemoteCacheBackend::connected() const {
   return sock_.valid();
 }
 
+std::uint64_t RemoteCacheBackend::connection_id() const {
+  std::lock_guard<std::mutex> lock(io_mu_);
+  // No attempt is made while connected, so the attempt count names the
+  // attempt that opened the current connection.
+  return sock_.valid() ? static_cast<std::uint64_t>(connect_attempts_) : 0;
+}
+
 void RemoteCacheBackend::note_go_away_locked(std::uint32_t retry_after_ms) {
   drop_connection_locked();
   // Arm at least the server's hint: reconnecting sooner would only be
@@ -162,74 +169,80 @@ void RemoteCacheBackend::note_go_away_locked(std::uint32_t retry_after_ms) {
 
 std::optional<RemoteCacheBackend::Rpc> RemoteCacheBackend::rpc(
     Op op, std::string_view body) {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  for (int throttle_round = 0;; ++throttle_round) {
-    if (!ensure_connected_locked()) return std::nullopt;
-    try {
-      if (!net::send_frame(sock_, static_cast<std::uint8_t>(op), body)) {
-        drop_connection_locked();
-        return std::nullopt;
-      }
-      // A clean boundary timeout (nothing consumed) means the daemon is
-      // slow, not gone — re-await the response instead of tearing the
-      // connection down and re-entering the reconnect backoff with every
-      // lease lost.
-      net::RecvFrameResult received;
-      for (int attempt = 0;; ++attempt) {
-        received = net::recv_frame_ex(sock_);
-        if (received.status != net::RecvStatus::kTimeout ||
-            attempt >= options_.io_timeout_retries) {
-          break;
+  // Rate-limited: resend on the same healthy connection after the server's
+  // hint, jittered so N throttled clients don't resend in phase. The I/O
+  // timeout bounds the resends like it bounds a slow answer, so a bogus
+  // hint cannot wedge us; io_mu_ is free while we wait.
+  std::optional<Rpc> reply;
+  net::Backoff throttle(/*base_ms=*/1, /*max_ms=*/1, throttle_seed_);
+  (void)net::retry(
+      throttle, options_.io_timeout_ms, [&](std::int64_t& hint_ms) {
+        reply = round_trip(op, body);
+        if (!reply.has_value() || reply->status != Status::kThrottled) {
+          return true;
         }
-      }
-      if (received.status != net::RecvStatus::kFrame) {
-        drop_connection_locked();
-        return std::nullopt;
-      }
-      if (received.frame.opcode == static_cast<std::uint8_t>(Op::kGoAway)) {
-        // Unsolicited "over capacity": honor the retry hint as a backoff
-        // floor and degrade this operation.
-        std::uint32_t retry_after_ms = options_.reconnect_backoff_ms > 0
-            ? static_cast<std::uint32_t>(options_.reconnect_backoff_ms)
-            : 500;
-        if (received.frame.body.size() >= 1 + sizeof(std::uint32_t)) {
-          std::memcpy(&retry_after_ms, received.frame.body.data() + 1,
-                      sizeof(retry_after_ms));
-        }
-        note_go_away_locked(retry_after_ms);
-        return std::nullopt;
-      }
-      if (received.frame.opcode != static_cast<std::uint8_t>(op) ||
-          received.frame.body.empty()) {
-        drop_connection_locked();
-        return std::nullopt;
-      }
-      Rpc result;
-      result.status = static_cast<Status>(received.frame.body[0]);
-      result.body = received.frame.body.substr(1);
-      if (result.status == Status::kThrottled &&
-          throttle_round < options_.throttle_retries) {
-        // Rate-limited: sleep the server's hint (jittered so N throttled
-        // clients don't resend in phase, clamped so a bogus hint cannot
-        // wedge us) and resend on the same healthy connection.
-        std::uint32_t hint_ms = static_cast<std::uint32_t>(
+        std::uint32_t hint = static_cast<std::uint32_t>(
             std::max(options_.claim_poll_ms, 1));
-        if (result.body.size() >= sizeof(std::uint32_t)) {
-          std::memcpy(&hint_ms, result.body.data(), sizeof(hint_ms));
+        if (reply->body.size() >= sizeof(hint)) {
+          std::memcpy(&hint, reply->body.data(), sizeof(hint));
         }
-        const std::int64_t wait_ms = throttle_jitter_.around(
-            std::clamp<std::int64_t>(hint_ms, 1,
-                                     std::max(options_.max_retry_after_ms, 1)));
-        std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
-        continue;
-      }
-      return result;
-    } catch (const serialize::CheckpointError&) {
-      // Malformed frame: protocol violation, not data — drop the
-      // connection.
+        hint_ms = hint;
+        return false;
+      });
+  return reply;
+}
+
+std::optional<RemoteCacheBackend::Rpc> RemoteCacheBackend::round_trip(
+    Op op, std::string_view body) {
+  std::lock_guard<std::mutex> lock(io_mu_);
+  if (!ensure_connected_locked()) return std::nullopt;
+  try {
+    if (!net::send_frame(sock_, static_cast<std::uint8_t>(op), body)) {
       drop_connection_locked();
       return std::nullopt;
     }
+    // A clean boundary timeout (nothing consumed) means the daemon is
+    // slow, not gone — re-await the response instead of tearing the
+    // connection down and re-entering the reconnect backoff with every
+    // lease lost.
+    net::RecvFrameResult received;
+    for (int attempt = 0;; ++attempt) {
+      received = net::recv_frame_ex(sock_);
+      if (received.status != net::RecvStatus::kTimeout ||
+          attempt >= options_.io_timeout_retries) {
+        break;
+      }
+    }
+    if (received.status != net::RecvStatus::kFrame) {
+      drop_connection_locked();
+      return std::nullopt;
+    }
+    if (received.frame.opcode == static_cast<std::uint8_t>(Op::kGoAway)) {
+      // Unsolicited "over capacity": honor the retry hint as a backoff
+      // floor and degrade this operation.
+      std::uint32_t retry_after_ms = options_.reconnect_backoff_ms > 0
+          ? static_cast<std::uint32_t>(options_.reconnect_backoff_ms)
+          : 500;
+      if (received.frame.body.size() >= 1 + sizeof(std::uint32_t)) {
+        std::memcpy(&retry_after_ms, received.frame.body.data() + 1,
+                    sizeof(retry_after_ms));
+      }
+      note_go_away_locked(retry_after_ms);
+      return std::nullopt;
+    }
+    if (received.frame.opcode != static_cast<std::uint8_t>(op) ||
+        received.frame.body.empty()) {
+      drop_connection_locked();
+      return std::nullopt;
+    }
+    Rpc result;
+    result.status = static_cast<Status>(received.frame.body[0]);
+    result.body = received.frame.body.substr(1);
+    return result;
+  } catch (const serialize::CheckpointError&) {
+    // Malformed frame: protocol violation, not data — drop the connection.
+    drop_connection_locked();
+    return std::nullopt;
   }
 }
 

@@ -29,7 +29,8 @@
 //
 // Thread safety: all operations share one socket serialized by a mutex —
 // pool workers, the heartbeat thread, and claim releases interleave
-// request-by-request. A CacheClaim must not outlive its backend.
+// request-by-request. The mutex covers one send and receive, never a
+// throttle wait. A CacheClaim must not outlive its backend.
 #pragma once
 
 #include <chrono>
@@ -56,7 +57,8 @@ struct RemoteCacheOptions {
   /// Heartbeat renewal on/off. Off is for tests that exercise the
   /// lease-expiry path; production clients always heartbeat.
   bool heartbeat = true;
-  /// Per-operation socket timeout.
+  /// Per-operation socket timeout. Also bounds the resends of a kThrottled
+  /// answer; past it the refusal surfaces like any other (miss/failure).
   int io_timeout_ms = 5'000;
   /// A response that is merely late — the receive timed out on a frame
   /// boundary with nothing consumed — is re-awaited up to this many extra
@@ -77,12 +79,6 @@ struct RemoteCacheOptions {
   /// (the production default — it is what decorrelates a fleet). Tests pin
   /// a nonzero seed for a reproducible schedule.
   std::uint64_t jitter_seed = 0;
-  /// A kThrottled answer is honored by sleeping its retry_after_ms hint
-  /// (jittered, clamped to max_retry_after_ms) and resending, up to this
-  /// many times per operation; after that the throttled status surfaces to
-  /// the caller, which treats it like any other refusal (miss/failure).
-  int throttle_retries = 3;
-  int max_retry_after_ms = 1'000;
   /// Poll interval of the blocking claim() (the daemon has no server-side
   /// wait queue; polling keeps the one connection free for heartbeats).
   int claim_poll_ms = 50;
@@ -114,16 +110,26 @@ class RemoteCacheBackend final : public CacheBackend {
   [[nodiscard]] CacheStats stats() const override;
   [[nodiscard]] std::string describe() const override { return url_; }
 
+  /// The options this client was built with; the fleet loops size their
+  /// retries from its lease TTL and reconnect backoff.
+  [[nodiscard]] const RemoteCacheOptions& options() const noexcept {
+    return options_;
+  }
+
   /// True when a round-trip (PING) succeeds right now; attempts a
   /// (re)connect. Used by tools for a startup health check.
   [[nodiscard]] bool ping();
 
   /// True when a TCP connection is currently established (no I/O — just a
-  /// socket check). A delivery failure always drops the connection, so
-  /// after a failed RPC this tells "the daemon answered no" (still
-  /// connected) from "the request never got through". The sharded tier
-  /// reports a shard without a connection as down.
+  /// socket check). The sharded tier reports a shard without a connection
+  /// as down.
   [[nodiscard]] bool connected() const;
+
+  /// 0 when no connection is up, otherwise an id unique to the current
+  /// one. A delivery failure always drops the connection, so a failed RPC
+  /// that leaves the same id up was answered by the daemon. connected()
+  /// cannot tell: another thread may have reconnected in between.
+  [[nodiscard]] std::uint64_t connection_id() const;
 
   /// Answer to kShardInfo (shard identity, for the sharded client's
   /// dir-disjointness check). nullopt: daemon unreachable, or an older
@@ -196,11 +202,13 @@ class RemoteCacheBackend final : public CacheBackend {
     std::string body;  // response body after the status byte
   };
 
-  /// One request/response round-trip. nullopt = degraded (no connection,
-  /// send/recv failure, kGoAway, or protocol violation — connection
-  /// dropped). A kThrottled answer is retried internally (see
-  /// RemoteCacheOptions::throttle_retries) before surfacing.
+  /// One request/response round-trip, resending a kThrottled answer within
+  /// the I/O timeout (see RemoteCacheOptions::io_timeout_ms). nullopt =
+  /// degraded (no connection, send/recv failure, kGoAway, or protocol
+  /// violation — connection dropped).
   std::optional<Rpc> rpc(net::Op op, std::string_view body);
+  /// One send and receive under io_mu_; rpc() without the resends.
+  std::optional<Rpc> round_trip(net::Op op, std::string_view body);
   bool ensure_connected_locked();
   void drop_connection_locked();
   /// Records a kGoAway: drop the connection and arm a backoff window of
@@ -226,7 +234,7 @@ class RemoteCacheBackend final : public CacheBackend {
   /// is the jittered wait armed by the LAST failure; 0 = no wait pending.
   net::Backoff reconnect_backoff_;
   std::int64_t current_window_ms_ = 0;
-  net::Jitter throttle_jitter_;
+  std::uint64_t throttle_seed_;  // jitter of the throttle resends
 
   /// One held lease: its key plus the TTL the server actually granted
   /// (post-clamp) — heartbeats pace against the granted TTL, never the
@@ -245,7 +253,9 @@ class RemoteCacheBackend final : public CacheBackend {
   bool stopping_ = false;
   std::thread hb_thread_;
 
-  mutable std::mutex stats_mu_;
+  /// One lock for every client in the process: a caller's per-run
+  /// CacheStats is shared by all shard clients of a tier.
+  static inline std::mutex stats_mu_;
   CacheStats stats_;
 };
 

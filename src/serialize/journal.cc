@@ -8,6 +8,8 @@
 #include <fstream>
 #include <system_error>
 
+#include "serialize/atomic_file.h"
+
 namespace nnr::serialize {
 
 namespace fs = std::filesystem;
@@ -54,21 +56,9 @@ std::vector<std::string> AccessJournal::read() const {
 
 void AccessJournal::rewrite(
     const std::vector<std::string>& tokens) const noexcept {
-  const std::string tmp = path_ + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;
-    for (const std::string& token : tokens) out << token << '\n';
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path_, ec);
-  if (ec) fs::remove(tmp, ec);
+  std::string text;
+  for (const std::string& token : tokens) text += token + '\n';
+  (void)write_file_atomic(path_, text);
 }
 
 std::int64_t AccessJournal::size_bytes() const noexcept {

@@ -29,20 +29,8 @@ std::vector<T> get_vector(R& r) {
   return v;
 }
 
-// Body (everything between magic and trailer) is written/read through one
-// template each, so the file and wire paths cannot drift apart.
-template <typename W>
-void write_body(W& w, const core::RunResult& result, std::uint64_t key_hi,
-                std::uint64_t key_lo) {
-  w.put(key_hi);
-  w.put(key_lo);
-  put_vector(w, result.test_predictions);
-  put_vector(w, result.test_confidences);
-  put_vector(w, result.final_weights);
-  w.put(result.test_accuracy);
-  w.put(result.final_train_loss);
-}
-
+// Body (everything between magic and trailer) is read through one template,
+// so the file and wire readers cannot drift apart.
 template <typename R>
 core::RunResult read_body(R& r, std::uint64_t key_hi, std::uint64_t key_lo,
                           const std::string& label) {
@@ -67,14 +55,6 @@ core::RunResult read_body(R& r, std::uint64_t key_hi, std::uint64_t key_lo,
 
 }  // namespace
 
-std::uint64_t save_run_result(const std::string& path,
-                              const core::RunResult& result,
-                              std::uint64_t key_hi, std::uint64_t key_lo) {
-  detail::Writer w(path, kResultMagic);
-  write_body(w, result, key_hi, key_lo);
-  return w.finish(path);
-}
-
 core::RunResult load_run_result(const std::string& path, std::uint64_t key_hi,
                                 std::uint64_t key_lo) {
   detail::Reader r(path, kResultMagic);
@@ -84,7 +64,13 @@ core::RunResult load_run_result(const std::string& path, std::uint64_t key_hi,
 std::string encode_run_result(const core::RunResult& result,
                               std::uint64_t key_hi, std::uint64_t key_lo) {
   detail::BufWriter w(result_magic_view());
-  write_body(w, result, key_hi, key_lo);
+  w.put(key_hi);
+  w.put(key_lo);
+  put_vector(w, result.test_predictions);
+  put_vector(w, result.test_confidences);
+  put_vector(w, result.final_weights);
+  w.put(result.test_accuracy);
+  w.put(result.final_train_loss);
   return w.finish();
 }
 

@@ -11,10 +11,10 @@
 //
 // The same byte stream exists in two places: as a file under the cache dir
 // (FsCacheBackend) and as the GET/PUT payload of the nnr_cached wire
-// protocol (RemoteCacheBackend). encode_run_result produces bytes identical
-// to what save_run_result writes, so the daemon can store a PUT body
-// verbatim and serve a GET straight from the file — no re-encoding, no
-// trust: every consumer re-verifies magic, checksum, and embedded key.
+// protocol (RemoteCacheBackend). Both are encode_run_result's bytes, so the
+// daemon can store a PUT body verbatim and serve a GET straight from the
+// file — no re-encoding, no trust: every consumer re-verifies magic,
+// checksum, and embedded key.
 //
 // Format (little-endian):
 //   magic "NNRRSLT1"
@@ -35,24 +35,16 @@
 
 namespace nnr::serialize {
 
-/// Writes `result` to `path`, stamped with the cell content key. Returns
-/// the number of bytes written (the file's exact size), so cache accounting
-/// never depends on re-statting the file. Throws CheckpointError on I/O
-/// failure.
-std::uint64_t save_run_result(const std::string& path,
-                              const core::RunResult& result,
-                              std::uint64_t key_hi, std::uint64_t key_lo);
-
-/// Reads a RunResult back. Throws CheckpointError on I/O failure, magic or
+/// Reads a RunResult from a file of encode_run_result's bytes. Throws CheckpointError on I/O failure, magic or
 /// checksum mismatch, truncation, or when the embedded key differs from
 /// (key_hi, key_lo) — the caller asked for a different cell's result.
 [[nodiscard]] core::RunResult load_run_result(const std::string& path,
                                               std::uint64_t key_hi,
                                               std::uint64_t key_lo);
 
-/// In-memory twin of save_run_result: the returned bytes are exactly what
-/// save_run_result would have written to a file (same magic, body, and
-/// checksum trailer). This is the PUT payload of the remote cache protocol.
+/// Serializes `result`, stamped with the cell content key (magic, body,
+/// checksum trailer): the cache file's contents and the PUT payload of the
+/// remote cache protocol.
 [[nodiscard]] std::string encode_run_result(const core::RunResult& result,
                                             std::uint64_t key_hi,
                                             std::uint64_t key_lo);

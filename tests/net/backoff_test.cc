@@ -1,10 +1,13 @@
 // Backoff + Jitter: the deterministic schedule contract (pin a seed, get
 // the exact same waits), the [0.5, 1.5) jitter envelope, exponential
 // growth to the cap, and reset-on-success — the pieces that keep a fleet
-// of workers from stampeding a recovering daemon in phase.
+// of workers from stampeding a recovering daemon in phase. Plus retry(),
+// the one loop every client retry runs through: outcomes and call counts,
+// never exact sleep times.
 #include "net/backoff.h"
 
 #include <algorithm>
+#include <chrono>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,6 +142,96 @@ TEST(BackoffTest, BaseAboveMaxKeepsTheBaseWindow) {
   Backoff backoff(60'000, 8'000, 7);
   const std::int64_t ms = backoff.next_ms();
   EXPECT_GE(ms, 30'000);
+}
+
+TEST(BackoffTest, FloorRaisesTheWindowBeforeJitter) {
+  Backoff backoff(/*base_ms=*/1, /*max_ms=*/1, /*seed=*/7);
+  for (int i = 0; i < 100; ++i) {
+    const std::int64_t ms = backoff.next_ms(/*floor_ms=*/1000);
+    EXPECT_GE(ms, 500);
+    EXPECT_LT(ms, 1500);
+  }
+}
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t ms_since(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                               start)
+      .count();
+}
+
+TEST(RetryTest, FirstSuccessReturnsAfterOneCall) {
+  Backoff backoff(10'000, 10'000, 7);
+  int calls = 0;
+  const auto start = Clock::now();
+  EXPECT_TRUE(retry(backoff, 60'000, [&](std::int64_t&) {
+    ++calls;
+    return true;
+  }));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(backoff.failures(), 0) << "no wait may be drawn before a failure";
+  EXPECT_LT(ms_since(start), 1000);
+}
+
+TEST(RetryTest, RetriesUntilAnAttemptSucceeds) {
+  Backoff backoff(1, 2, 7);
+  int calls = 0;
+  EXPECT_TRUE(retry(backoff, 60'000, [&](std::int64_t&) {
+    return ++calls == 5;
+  }));
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(backoff.failures(), 4) << "one wait between each pair of runs";
+}
+
+TEST(RetryTest, GivesUpWhenTheBudgetIsSpentWithoutSleepingPastIt) {
+  // A 10 s backoff under a 50 ms budget: the one wait is clipped to what
+  // is left of the budget, then the last run fails and retry gives up.
+  Backoff backoff(10'000, 10'000, 7);
+  int calls = 0;
+  const auto start = Clock::now();
+  EXPECT_FALSE(retry(backoff, 50, [&](std::int64_t&) {
+    ++calls;
+    return false;
+  }));
+  EXPECT_LT(ms_since(start), 1000);
+  EXPECT_GE(calls, 2) << "the clipped wait still ends in one more run";
+}
+
+TEST(RetryTest, ZeroBudgetMeansOneRun) {
+  Backoff backoff(1, 1, 7);
+  int calls = 0;
+  EXPECT_FALSE(retry(backoff, 0, [&](std::int64_t&) {
+    ++calls;
+    return false;
+  }));
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(RetryTest, AReportedHintRaisesTheWait) {
+  // A 1 ms backoff would resend at once; the attempt's 400 ms hint (a
+  // server's retry-after) must hold the next run off for at least the
+  // hint's jitter floor, half of it.
+  Backoff backoff(1, 1, 7);
+  int calls = 0;
+  const auto start = Clock::now();
+  EXPECT_TRUE(retry(backoff, 60'000, [&](std::int64_t& hint_ms) {
+    if (++calls == 2) return true;
+    hint_ms = 400;
+    return false;
+  }));
+  EXPECT_EQ(calls, 2);
+  EXPECT_GE(ms_since(start), 200);
+}
+
+TEST(RetryTest, AHintIsClippedToTheBudget) {
+  Backoff backoff(1, 1, 7);
+  const auto start = Clock::now();
+  EXPECT_FALSE(retry(backoff, 50, [&](std::int64_t& hint_ms) {
+    hint_ms = 60'000;
+    return false;
+  }));
+  EXPECT_LT(ms_since(start), 1000) << "a bogus hint must not wedge the caller";
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // deadline (a slow-loris client is evicted while a chatty one is not), the
 // per-connection token bucket (over-rate requests answered kThrottled with
 // the connection surviving — and a throttle-honoring client that never
-// notices), and graceful shutdown (leases released, fleet queue persisted,
-// a restarted daemon resumes the wave).
+// notices, nor blocks its other threads while it waits), and graceful
+// shutdown (leases released, fleet queue persisted, a restarted daemon
+// resumes the wave).
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -232,10 +233,7 @@ TEST_F(OverloadServerTest, ThrottleHonoringBackendSucceedsTransparently) {
   config.burst = 1.0;
   start(std::move(config));
 
-  RemoteCacheOptions options = fast_options();
-  options.throttle_retries = 5;
-  options.max_retry_after_ms = 500;
-  auto backend = client(options);
+  auto backend = client();
   // Back-to-back operations overrun burst=1 constantly; the backend's
   // internal sleep-the-hint-and-resend loop must absorb every refusal.
   for (int i = 0; i < 6; ++i) {
@@ -243,6 +241,33 @@ TEST_F(OverloadServerTest, ThrottleHonoringBackendSucceedsTransparently) {
   }
   EXPECT_GE(server_->overload_counters().throttled, 1)
       << "the test must actually have been throttled to prove anything";
+}
+
+TEST_F(OverloadServerTest, ThrottleWaitLeavesTheClientFreeForOtherThreads) {
+  // One token per second: after the first ping spends it, the next request
+  // is throttled with a hint of about 1 s.
+  CacheServerConfig config;
+  config.max_rps = 1.0;
+  config.burst = 1.0;
+  start(std::move(config));
+
+  auto backend = client();
+  ASSERT_TRUE(backend->ping());
+  std::thread throttled([&] { (void)backend->ping(); });
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (server_->overload_counters().throttled < 1 &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(server_->overload_counters().throttled, 1);
+
+  // The throttled thread is now waiting out the hint. Every other thread
+  // on the client (pool workers, the heartbeat) must still get through.
+  const auto asked = Clock::now();
+  EXPECT_TRUE(backend->connected());
+  EXPECT_LT(Clock::now() - asked, std::chrono::milliseconds(100))
+      << "the throttle wait must not hold the client's socket lock";
+  throttled.join();
 }
 
 TEST_F(OverloadServerTest, GracefulStopPersistsQueueAndRestartResumesWave) {

@@ -31,6 +31,7 @@
 #include "core/trainer.h"
 #include "net/fault_injector.h"
 #include "sched/cache_server.h"
+#include "sched/fleet_client.h"
 #include "sched/fleet_queue.h"
 #include "sched/remote_cache_backend.h"
 
@@ -151,16 +152,12 @@ TEST_P(ChaosFleetTest, FleetDrainsExactlyOnceWithIdenticalBytes) {
   {
     net::FaultInjector::ScopedInstall chaos(&injector);
 
-    // Submit with retries: the submit RPC itself rides the faulty wire.
+    // The submit RPC itself rides the faulty wire, so it retries like the
+    // production coordinator's: within one lease TTL.
     auto coordinator = client(/*jitter_seed=*/101);
-    bool submitted = false;
-    for (int i = 0; i < 200 && !submitted; ++i) {
-      submitted = coordinator->fleet_submit(items).has_value();
-      if (!submitted) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-    ASSERT_TRUE(submitted) << "submit must eventually get through";
+    ASSERT_TRUE(retry_within_lease(*coordinator, [&] {
+      return coordinator->fleet_submit(items).has_value();
+    })) << "submit must get through within one lease TTL";
 
     // Two workers, each with its own backend/connection/jitter stream.
     auto worker_loop = [&](std::uint64_t jitter_seed) {
@@ -184,28 +181,21 @@ TEST_P(ChaosFleetTest, FleetDrainsExactlyOnceWithIdenticalBytes) {
           continue;
         }
         const core::RunResult result = result_for(key);
-        // Store until it sticks: a worker never gives a trained cell up
-        // over a transient fault. Mirrors fleet_run_worker's store-retry
-        // policy.
-        // Retry on the wave deadline, not an attempt count — fail-fast
-        // attempts inside a reconnect-backoff window burn no wire time,
-        // so a count-bounded loop can exhaust itself in a couple of
-        // seconds while the wave has half a minute left.
+        // A worker never gives a trained cell up over a transient fault:
+        // fleet_run_worker's rule re-sends an undelivered PUT for up to
+        // one lease TTL, and a daemon answer is final.
         bool stored = false;
-        while (!stored && !stop.load(std::memory_order_relaxed) &&
-               Clock::now() < deadline) {
+        (void)retry_until_answered(*backend, [&] {
           stored = backend->store(key, result);
-          if (!stored) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          }
-        }
+          return stored || stop.load(std::memory_order_relaxed);
+        });
         if (!stored && stop.load(std::memory_order_relaxed)) {
           // The wave completed while we retried: a reset fault released
           // our lease mid-retry and the peer redid the cell (to identical
           // bytes, by determinism). Our copy is moot, not lost.
           continue;
         }
-        EXPECT_TRUE(stored) << "a PUT must eventually get through";
+        EXPECT_TRUE(stored) << "a PUT must get through within one lease TTL";
         // The report may be lost: the lease then dies, the item requeues,
         // and whoever fetches it next finds the entry and reports served.
         (void)backend->fleet_report(key, fetch->lease_id,

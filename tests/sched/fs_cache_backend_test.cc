@@ -2,7 +2,8 @@
 // a corrupted, truncated, or foreign entry must degrade to a miss
 // (recompute), never crash the study — plus the hardening surfaces:
 // exact per-run stats, cross-process claims, LRU eviction under a byte
-// budget (never an in-flight key), and GC of orphaned temp/lock files.
+// budget (never an in-flight key), GC of orphaned temp/lock files, and the
+// environment's path to a backend.
 #include "sched/fs_cache_backend.h"
 
 #include <unistd.h>
@@ -10,8 +11,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include <gtest/gtest.h>
+
+#include "sched/cache_backend.h"
+#include "sched/sharded_cache_backend.h"
+#include "serialize/atomic_file.h"
 
 namespace nnr::sched {
 namespace {
@@ -143,21 +149,45 @@ TEST_F(FsCacheBackendTest, StoreOverwritesInPlace) {
   EXPECT_EQ(loaded->test_accuracy, 0.5);
 }
 
+// The environment reaches a backend the way nnr_run and the benches build
+// theirs: cache_config_from_env() + make_cache_backend().
+std::unique_ptr<CacheBackend> backend_from_env() {
+  return make_cache_backend(cache_config_from_env());
+}
+
 TEST_F(FsCacheBackendTest, FromEnvHonorsNnrCacheDir) {
+  ::unsetenv("NNR_CACHE_URL");
   ::setenv("NNR_CACHE_DIR", dir_.string().c_str(), 1);
-  EXPECT_TRUE(FsCacheBackend::from_env().enabled());
-  EXPECT_EQ(FsCacheBackend::from_env().dir(), dir_.string());
+  const auto backend = backend_from_env();
+  const auto* cache = dynamic_cast<const FsCacheBackend*>(backend.get());
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->dir(), dir_.string());
   ::unsetenv("NNR_CACHE_DIR");
-  EXPECT_FALSE(FsCacheBackend::from_env().enabled());
+  EXPECT_EQ(backend_from_env(), nullptr) << "no cache configured, no backend";
 }
 
 TEST_F(FsCacheBackendTest, FromEnvHonorsBudget) {
+  ::unsetenv("NNR_CACHE_URL");
   ::setenv("NNR_CACHE_DIR", dir_.string().c_str(), 1);
+  const auto budget = [] {
+    const auto backend = backend_from_env();
+    return dynamic_cast<const FsCacheBackend&>(*backend).budget();
+  };
   ::setenv("NNR_CACHE_BUDGET", "4096", 1);
-  EXPECT_EQ(FsCacheBackend::from_env().budget(), 4096);
+  EXPECT_EQ(budget(), 4096);
   ::setenv("NNR_CACHE_BUDGET", "4096x", 1);  // junk -> unlimited, not 4096
-  EXPECT_EQ(FsCacheBackend::from_env().budget(), 0);
+  EXPECT_EQ(budget(), 0);
   ::unsetenv("NNR_CACHE_BUDGET");
+  ::unsetenv("NNR_CACHE_DIR");
+}
+
+TEST_F(FsCacheBackendTest, FromEnvUrlWinsOverDir) {
+  ::setenv("NNR_CACHE_DIR", dir_.string().c_str(), 1);
+  ::setenv("NNR_CACHE_URL", "tcp://127.0.0.1:9", 1);
+  const auto backend = backend_from_env();
+  EXPECT_NE(dynamic_cast<const ShardedCacheBackend*>(backend.get()), nullptr);
+  EXPECT_EQ(backend->describe(), "sharded(tcp://127.0.0.1:9)");
+  ::unsetenv("NNR_CACHE_URL");
   ::unsetenv("NNR_CACHE_DIR");
 }
 
@@ -322,6 +352,24 @@ TEST_F(FsCacheBackendTest, GcSweepsOrphanedTempAndStaleLockFiles) {
             fs::file_size(cache.path_for(keep)));
   // The surviving entry still loads.
   EXPECT_TRUE(cache.load(keep).has_value());
+}
+
+TEST_F(FsCacheBackendTest, GcKeepsTempFilesTheAtomicWriterNamesForALiveWriter) {
+  // A daemon sharing this directory stages its queue snapshot and entries
+  // through serialize::write_file_atomic; a gc run by an fs client must not
+  // sweep them mid-write, or the daemon's rename fails and the write is
+  // lost.
+  FsCacheBackend cache(dir_.string());
+  ASSERT_TRUE(cache.store({1, 1}, sample_result()));
+  const fs::path snapshot_tmp =
+      serialize::temp_path_for((dir_ / "fleet_queue.nnrq").string());
+  const fs::path entry_tmp = serialize::temp_path_for(cache.path_for({2, 2}));
+  std::ofstream(snapshot_tmp).put('x');
+  std::ofstream(entry_tmp).put('x');
+
+  EXPECT_EQ(cache.gc().removed_tmp, 0);
+  EXPECT_TRUE(fs::exists(snapshot_tmp));
+  EXPECT_TRUE(fs::exists(entry_tmp));
 }
 
 TEST_F(FsCacheBackendTest, GcEvictsToBudgetAndCompactsTheJournal) {

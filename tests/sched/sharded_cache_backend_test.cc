@@ -10,8 +10,9 @@
 //   2. Composite-behavior suite (in-process CacheServer shards): keys land
 //      in their owner shard's directory, a down shard degrades only its
 //      own key range while the others stay hot, a revived shard turns
-//      back into hits once its client's reconnect backoff elapses, and
-//      verify_disjoint catches two shard slots backed by one directory.
+//      back into hits once its client's reconnect backoff elapses,
+//      per-run stats stay exact while threads hit several shards at once,
+//      and verify_disjoint catches two shard slots backed by one directory.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -419,6 +420,26 @@ TEST_F(ShardedCacheTest, StatsSumAcrossShardsAndCountDegradedMisses) {
   stats = backend->stats();
   EXPECT_GE(stats.misses, 2)
       << "misses on a down shard must be visible in the composite stats";
+}
+
+TEST_F(ShardedCacheTest, PerRunStatsStayExactAcrossConcurrentShards) {
+  // Pool workers share one per-run CacheStats while their keys route to
+  // different shard clients: every client's update must land in it.
+  start_shards(2);
+  auto backend = make_backend();
+  const std::vector<CellKey> keys = sample_keys(4000, /*seed=*/99);
+  CacheStats run;
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = t; i < keys.size(); i += 4) {
+        EXPECT_FALSE(backend->load(keys[i], &run).has_value());
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(run.misses, static_cast<std::int64_t>(keys.size()));
+  EXPECT_EQ(backend->stats().misses, run.misses);
 }
 
 TEST_F(ShardedCacheTest, GcSweepsReachableShardsAndSumsTotals) {

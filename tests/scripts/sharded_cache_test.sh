@@ -52,15 +52,14 @@ TOTAL=12  # fig2 under NNR_QUICK: 2 tasks x 3 variants x 2 replicates
 "$NNR_RUN" --study fig2 --out "$WORK/out-local" 2> "$WORK/local.err"
 
 # Everything below runs under the fault plan, with tight backoffs (so a
-# fault or the killed shard costs tens of milliseconds per retry) and
-# generous PUT retries (so the worker holding a result for the killed
-# shard's key range rides out its restart instead of failing the cell).
+# fault or the killed shard costs tens of milliseconds per retry). No fleet
+# knob is needed for the worker holding a result for the killed shard's key
+# range to ride out its restart: it re-sends the PUT for up to one lease TTL
+# (NNR_CACHE_LEASE_MS, default 10 s), paced by these backoffs.
 export NNR_FAULT_SPEC="$SPEC"
 export NNR_CACHE_IO_TIMEOUT_MS=500
 export NNR_CACHE_BACKOFF_MS=50
 export NNR_CACHE_BACKOFF_MAX_MS=400
-export NNR_FLEET_STORE_RETRIES=60
-export NNR_FLEET_STORE_RETRY_MS=100
 
 # 2. Three shard daemons, each with its own directory. Shard 0 carries the
 #    work queue; shard 2 is the one we murder mid-study.
@@ -118,8 +117,9 @@ WORKER_A=$!
 WORKER_B=$!
 
 # 4. Mid-study chaos: once training has started, SIGKILL the non-queue
-#    shard 2 (no drain, no lease release, no goodbye), hold it down a
-#    moment, then restart it on the same directory and port.
+#    shard 2 (no drain, no lease release, no goodbye), hold it down for
+#    2 s — long enough that a worker's PUT to it really is retried across
+#    the outage — then restart it on the same directory and port.
 for _ in $(seq 1 200); do
   grep -q '\[worker\] trained' "$WORK/worker-a.err" "$WORK/worker-b.err" \
       2>/dev/null && break
@@ -130,7 +130,7 @@ if kill -0 "$D2_PID" 2>/dev/null; then
   kill -9 "$D2_PID" 2>/dev/null || true
   wait "$D2_PID" 2>/dev/null || true
   D2_PID=""
-  sleep 0.5
+  sleep 2
   start_daemon 2 "$PORT2"
 fi
 
@@ -207,7 +207,7 @@ done
 #     (byte-identically, but trained would be nonzero). The restart also
 #     proves every shard's entries persist across a full-tier bounce.
 unset NNR_FAULT_SPEC NNR_CACHE_IO_TIMEOUT_MS NNR_CACHE_BACKOFF_MS \
-      NNR_CACHE_BACKOFF_MAX_MS NNR_FLEET_STORE_RETRIES NNR_FLEET_STORE_RETRY_MS
+      NNR_CACHE_BACKOFF_MAX_MS
 for index in 0 1 2; do
   pid_var="D${index}_PID"
   kill "${!pid_var}" 2>/dev/null || true

@@ -1,0 +1,65 @@
+// write_file_atomic: whole-file replacement, no trace left by a failed
+// write, and a temp name that carries the writer's pid (what cache GC reads
+// to spare a live writer's file).
+#include "serialize/atomic_file.h"
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include <gtest/gtest.h>
+
+namespace nnr::serialize {
+namespace {
+
+namespace fs = std::filesystem;
+
+class AtomicFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("nnr_atomic_file_" + std::string(::testing::UnitTest::GetInstance()
+                                                 ->current_test_info()
+                                                 ->name()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path dir_;
+};
+
+std::string read_all(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(AtomicFileTest, ReplacesTheWholeFile) {
+  const std::string path = (dir_ / "f").string();
+  ASSERT_TRUE(write_file_atomic(path, "a longer first version"));
+  ASSERT_TRUE(write_file_atomic(path, std::string("short\0x", 7)));
+  EXPECT_EQ(read_all(path), std::string("short\0x", 7));
+}
+
+TEST_F(AtomicFileTest, FailedWriteLeavesTheTargetAndNoTemp) {
+  // A directory at the target path: the temp file writes, the rename cannot.
+  const fs::path target = dir_ / "occupied";
+  fs::create_directories(target);
+  EXPECT_FALSE(write_file_atomic(target.string(), "bytes"));
+  EXPECT_TRUE(fs::is_directory(target));
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path(), target) << "leftover: " << entry.path();
+  }
+}
+
+TEST_F(AtomicFileTest, TempNameCarriesThePid) {
+  const std::string path = (dir_ / "f").string();
+  const std::string prefix = path + ".tmp" + std::to_string(::getpid()) + ".";
+  EXPECT_EQ(temp_path_for(path).rfind(prefix, 0), 0u) << temp_path_for(path);
+}
+
+}  // namespace
+}  // namespace nnr::serialize

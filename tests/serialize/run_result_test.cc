@@ -1,6 +1,7 @@
 // RunResult (de)serialization: bitwise round-trip, key verification, and
 // corruption detection — the persistence half of the cache-validity
-// contract.
+// contract. File fixtures are written the way the cache writes entries:
+// encode_run_result's bytes through write_file_atomic.
 #include "serialize/run_result.h"
 
 #include <cstring>
@@ -8,6 +9,8 @@
 #include <fstream>
 
 #include <gtest/gtest.h>
+
+#include "serialize/atomic_file.h"
 
 namespace nnr::serialize {
 namespace {
@@ -39,12 +42,18 @@ class RunResultTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove(path_); }
 
+  void save(const core::RunResult& result, std::uint64_t key_hi,
+            std::uint64_t key_lo) {
+    ASSERT_TRUE(
+        write_file_atomic(path_, encode_run_result(result, key_hi, key_lo)));
+  }
+
   std::string path_;
 };
 
 TEST_F(RunResultTest, RoundTripIsBitwiseLossless) {
   const core::RunResult original = sample_result();
-  save_run_result(path_, original, 0x1234, 0x5678);
+  save(original, 0x1234, 0x5678);
   const core::RunResult loaded = load_run_result(path_, 0x1234, 0x5678);
   EXPECT_EQ(loaded.test_predictions, original.test_predictions);
   // Vector equality on floats is bitwise-adjacent but -0.0 == 0.0; compare
@@ -61,22 +70,16 @@ TEST_F(RunResultTest, RoundTripIsBitwiseLossless) {
   EXPECT_EQ(loaded.final_train_loss, original.final_train_loss);
 }
 
-TEST_F(RunResultTest, SaveReturnsTheExactFileSize) {
-  const std::uint64_t bytes = save_run_result(path_, sample_result(), 1, 2);
-  EXPECT_EQ(bytes, fs::file_size(path_))
-      << "cache byte accounting relies on the serializer's count";
-}
-
 TEST_F(RunResultTest, EmptyVectorsRoundTrip) {
   const core::RunResult empty;
-  save_run_result(path_, empty, 1, 2);
+  save(empty, 1, 2);
   const core::RunResult loaded = load_run_result(path_, 1, 2);
   EXPECT_TRUE(loaded.test_predictions.empty());
   EXPECT_TRUE(loaded.final_weights.empty());
 }
 
 TEST_F(RunResultTest, KeyMismatchThrows) {
-  save_run_result(path_, sample_result(), 0x1234, 0x5678);
+  save(sample_result(), 0x1234, 0x5678);
   EXPECT_THROW(load_run_result(path_, 0x1234, 0x9999), CheckpointError);
   EXPECT_THROW(load_run_result(path_, 0x9999, 0x5678), CheckpointError);
 }
@@ -86,13 +89,13 @@ TEST_F(RunResultTest, MissingFileThrows) {
 }
 
 TEST_F(RunResultTest, TruncationThrows) {
-  save_run_result(path_, sample_result(), 1, 2);
+  save(sample_result(), 1, 2);
   fs::resize_file(path_, fs::file_size(path_) / 2);
   EXPECT_THROW(load_run_result(path_, 1, 2), CheckpointError);
 }
 
 TEST_F(RunResultTest, BitFlipThrows) {
-  save_run_result(path_, sample_result(), 1, 2);
+  save(sample_result(), 1, 2);
   std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(40);
   char c = 0;
@@ -113,7 +116,7 @@ TEST_F(RunResultTest, WrongMagicThrows) {
 // bytes ARE the file format, byte for byte, and decode accepts either.
 TEST_F(RunResultTest, EncodedBytesMatchTheFileExactly) {
   const core::RunResult original = sample_result();
-  save_run_result(path_, original, 0x1234, 0x5678);
+  save(original, 0x1234, 0x5678);
   std::ifstream in(path_, std::ios::binary);
   const std::string file_bytes((std::istreambuf_iterator<char>(in)),
                                std::istreambuf_iterator<char>());

@@ -24,7 +24,6 @@
 //   nnr_run --worker --cache-url tcp://cachehost:9776
 //   nnr_run --list
 //   nnr_run --task resnet18_c100 --all-variants --csv
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,10 +33,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/env.h"
 #include "core/study.h"
 #include "core/table.h"
 #include "core/tasks.h"
@@ -349,8 +346,9 @@ Environment: NNR_CACHE_DIR / NNR_CACHE_URL / NNR_CACHE_BUDGET /
 NNR_CACHE_LEASE_MS seed the cache flags above (NNR_CACHE_URL accepts the
 same comma-separated shard map as --cache-url); NNR_THREADS sizes the
 shared pool; NNR_REPLICATES / NNR_EPOCHS / NNR_TRAIN_N / NNR_QUICK scale
-studies; NNR_FLEET_STORE_RETRIES / NNR_FLEET_STORE_RETRY_MS tune worker
-PUT retries. Full reference: docs/nnr_run.md.
+studies. In fleet modes every retry (PING, SUBMIT, PUT, REPORT) runs for
+up to one lease TTL, paced by the cache client's reconnect backoff
+(NNR_CACHE_BACKOFF_MS). Full reference: docs/nnr_run.md.
 
 Integer flags are parsed strictly: trailing junk ("--threads 4x") is an
 error, never a silent zero. Cache stats and progress go to stderr
@@ -654,17 +652,11 @@ int run_fleet_submit_mode(const Options& opts) {
   auto tier = make_tier(opts);
   sched::RemoteCacheBackend& queue = tier->shard(0);
   // Unlike caching (where an unreachable daemon degrades to local compute),
-  // the coordinator's entire job is the daemon — fail loudly up front. A
-  // few retries first, so one lost frame on a flaky link (or a daemon a
-  // beat behind its supervisor) doesn't abort the wave before it starts.
-  bool reachable = false;
-  for (int attempt = 0; attempt < 5 && !reachable; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    reachable = queue.ping();
-  }
-  if (!reachable) {
+  // the coordinator's entire job is the daemon — fail loudly up front. It
+  // retries within one lease TTL first, so one lost frame on a flaky link
+  // (or a daemon a beat behind its supervisor) doesn't abort the wave
+  // before it starts.
+  if (!sched::retry_within_lease(queue, [&] { return queue.ping(); })) {
     std::fprintf(stderr, "nnr_run: --submit: no nnr_cached daemon at %s\n",
                  queue.describe().c_str());
     return 1;
@@ -676,9 +668,7 @@ int run_fleet_submit_mode(const Options& opts) {
     std::fprintf(stderr, "nnr_run: --submit: %s\n", violation->c_str());
     return 1;
   }
-  sched::FleetSubmitOptions fleet_opts;
-  const auto summary =
-      sched::fleet_submit_and_wait(queue, opts.submit_studies, fleet_opts);
+  const auto summary = sched::fleet_submit_and_wait(queue, opts.submit_studies);
   if (!summary.has_value()) return 1;
   if (summary->failed > 0) {
     std::fprintf(stderr,
@@ -701,19 +691,7 @@ int run_fleet_worker_mode(const Options& opts) {
     return 1;
   }
   apply_thread_flag(opts.threads);
-  sched::FleetWorkerOptions worker_opts;
-  // Chaos scripts crank these up so a worker rides out a shard restart
-  // instead of burning one of the queue's bounded attempts per cell.
-  if (const std::int64_t n = core::env_int("NNR_FLEET_STORE_RETRIES", -1);
-      n >= 0) {
-    worker_opts.store_retries = n;
-  }
-  if (const std::int64_t ms = core::env_int("NNR_FLEET_STORE_RETRY_MS", -1);
-      ms >= 0) {
-    worker_opts.store_retry_ms = ms;
-  }
-  const sched::FleetWorkerSummary summary =
-      sched::fleet_run_worker(*tier, worker_opts);
+  const sched::FleetWorkerSummary summary = sched::fleet_run_worker(*tier);
   std::fprintf(stderr, "[worker] fetched=%lld trained=%lld served=%lld "
                "failed=%lld\n",
                static_cast<long long>(summary.fetched),
