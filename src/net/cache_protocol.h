@@ -18,10 +18,6 @@
 //               clients must pace heartbeats against IT, not the request)
 //   kRelease    u64 hi | u64 lo | u64 lease   kOk | kGone
 //   kHeartbeat  u64 hi | u64 lo | u64 lease   kOk | kGone
-//   kStat       (empty)                       kOk: u64 entries | u64 bytes
-//                                             | u64 hits | u64 misses
-//                                             | u64 stores | u64 active_leases
-//                                             | u64 expired_leases
 //   kGc         (empty)                       kOk: i64 removed_tmp
 //                                             | i64 removed_locks | i64 evicted
 //                                             | i64 evicted_bytes | i64 entries
@@ -84,8 +80,9 @@
 // (serialize/run_result.h) — magic, body, checksum trailer — so the daemon
 // stores PUT bodies verbatim and serves GETs straight from disk, and every
 // client re-validates what it receives. A response always echoes the
-// request's opcode; unknown opcodes and malformed bodies cost the sender
-// its connection (claims held by that connection are released).
+// request's opcode. An unknown opcode in a valid frame is answered kError
+// ("feature absent") and the connection stays up; a malformed body costs
+// the sender its connection (claims held by that connection are released).
 #pragma once
 
 #include <cstdint>
@@ -104,7 +101,8 @@ enum class Op : std::uint8_t {
   kTryClaim = 4,
   kRelease = 5,
   kHeartbeat = 6,
-  kStat = 7,
+  // 7 is retired (a stats opcode no client sent) and stays reserved: a
+  // server answers it kError like any unknown opcode.
   kGc = 8,
   // Fleet work queue (added within version 1; old servers answer kError).
   kSubmit = 9,

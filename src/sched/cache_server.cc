@@ -59,10 +59,8 @@ std::uint64_t random_identity() {
 CacheServer::CacheServer(CacheServerConfig config)
     : config_(std::move(config)),
       backend_(config_.dir, config_.budget),
-      queue_(config_.dir.empty()
-                 ? std::string()
-                 : (std::filesystem::path(config_.dir) / "fleet_queue.nnrq")
-                       .string()) {}
+      queue_((std::filesystem::path(config_.dir) / "fleet_queue.nnrq")
+                 .string()) {}
 
 CacheServer::~CacheServer() {
   conns_.clear();   // Socket destructors close the fds
@@ -73,7 +71,6 @@ CacheServer::~CacheServer() {
 }
 
 bool CacheServer::start() {
-  if (config_.dir.empty()) return false;
   // Resolve NNR_FAULT_SPEC now rather than lazily at the first I/O call:
   // the "[fault] injector armed" line must precede "listening on" so chaos
   // scripts can verify the daemon is actually under the storm they think
@@ -427,7 +424,6 @@ void CacheServer::expire_leases() {
   const auto now = std::chrono::steady_clock::now();
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (it->second.expiry <= now) {
-      ++expired_leases_;
       it = drop_lease(it);
     } else {
       ++it;
@@ -537,22 +533,6 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
       } else {
         resp = status_only(Status::kGone);
       }
-      break;
-    }
-    case Op::kStat: {
-      expire_leases();
-      const FsCacheBackend::Usage usage = backend_.usage();
-      const CacheStats stats = backend_.stats();
-      BodyWriter w;
-      w.put(static_cast<std::uint8_t>(Status::kOk));
-      w.put(static_cast<std::uint64_t>(usage.entries));
-      w.put(static_cast<std::uint64_t>(usage.bytes));
-      w.put(static_cast<std::uint64_t>(stats.hits));
-      w.put(static_cast<std::uint64_t>(stats.misses));
-      w.put(static_cast<std::uint64_t>(stats.stores));
-      w.put(static_cast<std::uint64_t>(leases_.size()));
-      w.put(static_cast<std::uint64_t>(expired_leases_));
-      resp = w.take();
       break;
     }
     case Op::kGc: {

@@ -95,6 +95,7 @@ struct CacheServerConfig {
 
 class CacheServer {
  public:
+  /// Throws std::invalid_argument when config.dir is empty.
   explicit CacheServer(CacheServerConfig config);
   ~CacheServer();
   CacheServer(const CacheServer&) = delete;
@@ -205,7 +206,6 @@ class CacheServer {
   std::uint64_t next_lease_id_ = 1;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;       // by fd
   std::unordered_map<std::string, Lease> leases_;              // by key hex
-  std::int64_t expired_leases_ = 0;
   std::atomic<std::int64_t> rejected_busy_{0};
   std::atomic<std::int64_t> throttled_{0};
   std::atomic<std::int64_t> idle_evicted_{0};

@@ -1,13 +1,16 @@
 #include "sched/fs_cache_backend.h"
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <system_error>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "runtime/parse_int.h"
@@ -20,12 +23,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kJournalName = "access.journal";
 constexpr const char* kGcLockName = "gc.lock";
 constexpr const char* kManifestName = "manifest";
-// Compact the journal once it outgrows this — at 33 bytes per access this
-// is ~8k accesses between compactions.
-constexpr std::int64_t kJournalCompactBytes = 256 * 1024;
 
 /// The fs backend's claim token: the flock itself. Destruction closes the
 /// fd, which releases the kernel lock — exactly what process death does.
@@ -44,10 +43,7 @@ struct EntryInfo {
   fs::path path;
   std::string hex;
   std::int64_t size = 0;
-  fs::file_time_type mtime;
-  // Position of the entry's most recent journal record; -1 when the entry
-  // predates the journal (ranked oldest, tie-broken by mtime).
-  std::int64_t recency = -1;
+  fs::file_time_type mtime;  // last store or hit
 };
 
 bool is_entry_name(const std::string& name) {
@@ -57,7 +53,7 @@ bool is_entry_name(const std::string& name) {
   });
 }
 
-/// Entries currently on disk (ignores temp files, locks, journal, manifest).
+/// Entries currently on disk (ignores temp files, locks, the manifest).
 std::vector<EntryInfo> list_entries(const std::string& dir) {
   std::vector<EntryInfo> entries;
   std::error_code ec;
@@ -86,31 +82,12 @@ std::int64_t total_size(const std::vector<EntryInfo>& entries) {
   return total;
 }
 
-/// Sorts oldest-access-first: entries never journaled rank before journaled
-/// ones (by mtime); journaled ones rank by the position of their last
-/// journal record.
+/// Sorts oldest-access-first: by mtime, then by key when a timestamp ties.
 void sort_lru(std::vector<EntryInfo>& entries) {
   std::sort(entries.begin(), entries.end(),
             [](const EntryInfo& a, const EntryInfo& b) {
-              if (a.recency != b.recency) return a.recency < b.recency;
-              return a.mtime < b.mtime;
+              return std::tie(a.mtime, a.hex) < std::tie(b.mtime, b.hex);
             });
-}
-
-/// Stamps each entry's recency with the position of its last journal
-/// record (one O(tokens) pass, not a scan per entry) and sorts LRU-first.
-void rank_lru(std::vector<EntryInfo>& entries,
-              const std::vector<std::string>& tokens) {
-  std::unordered_map<std::string, std::int64_t> last_index;
-  last_index.reserve(tokens.size());
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    last_index[tokens[i]] = static_cast<std::int64_t>(i);
-  }
-  for (EntryInfo& e : entries) {
-    const auto it = last_index.find(e.hex);
-    if (it != last_index.end()) e.recency = it->second;
-  }
-  sort_lru(entries);
 }
 
 /// True when the pid embedded in a temp-file name (serialize::temp_path_for)
@@ -130,9 +107,11 @@ bool tmp_owner_alive(const std::string& name) {
 }  // namespace
 
 FsCacheBackend::FsCacheBackend(std::string dir, std::int64_t budget_bytes)
-    : dir_(std::move(dir)),
-      budget_(std::max<std::int64_t>(budget_bytes, 0)),
-      journal_((fs::path(dir_) / kJournalName).string()) {}
+    : dir_(std::move(dir)), budget_(std::max<std::int64_t>(budget_bytes, 0)) {
+  if (dir_.empty()) {
+    throw std::invalid_argument("FsCacheBackend needs a cache directory");
+  }
+}
 
 std::string FsCacheBackend::path_for(const CellKey& key) const {
   return (fs::path(dir_) / (key.hex() + ".rr")).string();
@@ -147,7 +126,7 @@ std::string FsCacheBackend::gc_lock_path() const {
 }
 
 void FsCacheBackend::touch(const CellKey& key) const {
-  journal_.append(key.hex());
+  (void)::utimensat(AT_FDCWD, path_for(key).c_str(), nullptr, 0);
 }
 
 void FsCacheBackend::ensure_dir_and_manifest() {
@@ -168,7 +147,6 @@ void FsCacheBackend::ensure_dir_and_manifest() {
 std::optional<core::RunResult> FsCacheBackend::load(const CellKey& key,
                                                     CacheStats* run,
                                                     bool count_miss) {
-  if (!enabled()) return std::nullopt;
   const std::string path = path_for(key);
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
@@ -208,13 +186,11 @@ std::optional<core::RunResult> FsCacheBackend::load(const CellKey& key,
 }
 
 bool FsCacheBackend::has_entry(const CellKey& key) const {
-  if (!enabled()) return false;
   std::error_code ec;
   return fs::exists(path_for(key), ec) && !ec;
 }
 
 std::optional<std::string> FsCacheBackend::load_bytes(const CellKey& key) {
-  if (!enabled()) return std::nullopt;
   std::ifstream in(path_for(key), std::ios::binary);
   if (!in) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -238,10 +214,8 @@ bool FsCacheBackend::store(const CellKey& key, const core::RunResult& result,
 
 bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes,
                                  CacheStats* run) {
-  if (!enabled()) return false;
   ensure_dir_and_manifest();
   if (!serialize::write_file_atomic(path_for(key), bytes)) return false;
-  touch(key);
   const auto size = static_cast<std::int64_t>(bytes.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -262,13 +236,11 @@ bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes,
 }
 
 std::optional<CacheClaim> FsCacheBackend::try_claim(const CellKey& key) {
-  if (!enabled()) return std::nullopt;
   ensure_dir_and_manifest();
   return wrap_lock(FileLock::try_acquire(lock_path_for(key)));
 }
 
 std::optional<CacheClaim> FsCacheBackend::claim(const CellKey& key) {
-  if (!enabled()) return std::nullopt;
   ensure_dir_and_manifest();
   return wrap_lock(FileLock::acquire(lock_path_for(key)));
 }
@@ -287,81 +259,52 @@ void FsCacheBackend::maybe_evict() {
   auto lock = FileLock::try_acquire(gc_lock_path());
   if (!lock.has_value()) return;  // a peer is already evicting
   evict_to_budget_locked(budget_, nullptr);
-  if (journal_.size_bytes() > kJournalCompactBytes) compact_journal_locked();
 }
 
 void FsCacheBackend::evict_to_budget_locked(std::int64_t budget,
                                             GcStats* gc_stats) {
   std::vector<EntryInfo> entries = list_entries(dir_);
   std::int64_t total = total_size(entries);
+  auto remaining = static_cast<std::int64_t>(entries.size());
   if (budget > 0 && total > budget) {
-    rank_lru(entries, journal_.read());
-    std::vector<EntryInfo> survivors;
-    for (EntryInfo& victim : entries) {
-      if (total <= budget) {
-        survivors.push_back(std::move(victim));
-        continue;
-      }
+    sort_lru(entries);
+    for (const EntryInfo& victim : entries) {
+      if (total <= budget) break;
       // In-flight keys (claim held by a trainer or a reader double-check)
       // are never evicted; holding the claim while removing closes the
       // race against a concurrent claimant of the same key.
       auto key_lock = FileLock::try_acquire(
           (victim.path.parent_path() / (victim.hex + ".lock")).string());
-      if (!key_lock.has_value()) {
-        survivors.push_back(std::move(victim));
-        continue;
-      }
+      if (!key_lock.has_value()) continue;
       std::error_code ec;
       fs::remove(victim.path, ec);
       key_lock->unlink_and_release();
-      if (!ec) {
-        total -= victim.size;
-        if (gc_stats != nullptr) {
-          ++gc_stats->evicted;
-          gc_stats->evicted_bytes += victim.size;
-        }
-      } else {
-        survivors.push_back(std::move(victim));
+      if (ec) continue;
+      total -= victim.size;
+      --remaining;
+      if (gc_stats != nullptr) {
+        ++gc_stats->evicted;
+        gc_stats->evicted_bytes += victim.size;
       }
     }
-    entries = std::move(survivors);
-    sort_lru(entries);
   }
   approx_bytes_.store(total, std::memory_order_relaxed);
   if (gc_stats != nullptr) {
-    gc_stats->entries = static_cast<std::int64_t>(entries.size());
+    gc_stats->entries = remaining;
     gc_stats->bytes = total;
   }
 }
 
-void FsCacheBackend::compact_journal_locked() const {
-  // One record per surviving entry, oldest access first — semantically
-  // identical to the full journal for LRU purposes.
-  const std::int64_t size_at_read = journal_.size_bytes();
-  std::vector<EntryInfo> entries = list_entries(dir_);
-  rank_lru(entries, journal_.read());
-  std::vector<std::string> compacted;
-  compacted.reserve(entries.size());
-  for (const EntryInfo& e : entries) compacted.push_back(e.hex);
-  // Appends don't take the cache-wide lock, so a peer's hit may land while
-  // we compact; skip the rewrite when the journal grew under us rather
-  // than discard that record (a narrower window remains and costs at most
-  // one entry's LRU rank — never correctness).
-  if (journal_.size_bytes() != size_at_read) return;
-  journal_.rewrite(compacted);
-}
-
 GcStats FsCacheBackend::gc() {
   GcStats result;
-  if (!enabled()) return result;
   std::error_code ec;
   if (!fs::exists(dir_, ec)) return result;
   auto lock = FileLock::acquire(gc_lock_path());
   if (!lock.has_value()) return result;
 
   // Sweep orphaned temp files: a writer that died between open and rename
-  // leaves `<entry>.tmp<pid>.<tid>` behind. A live pid means a store (or
-  // journal compaction) is in flight right now — leave it alone.
+  // leaves `<entry>.tmp<pid>.<tid>` behind. A live pid means a store is in
+  // flight right now — leave it alone.
   std::vector<fs::path> tmp_files;
   std::vector<fs::path> lock_files;
   for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
@@ -390,17 +333,7 @@ GcStats FsCacheBackend::gc() {
   }
 
   evict_to_budget_locked(budget_, &result);
-  compact_journal_locked();
   return result;
-}
-
-FsCacheBackend::Usage FsCacheBackend::usage() const {
-  Usage usage;
-  if (!enabled()) return usage;
-  const std::vector<EntryInfo> entries = list_entries(dir_);
-  usage.entries = static_cast<std::int64_t>(entries.size());
-  usage.bytes = total_size(entries);
-  return usage;
 }
 
 CacheStats FsCacheBackend::stats() const {

@@ -24,19 +24,24 @@
 //          flock, so the key is immediately free — no stale-claim sweeper
 //          is needed for liveness, gc() only tidies the leftover files
 //
-// A cache-wide lock (`gc.lock`) serializes eviction, GC, journal
-// compaction, and the one-time manifest write.
+// A cache-wide lock (`gc.lock`) serializes eviction, GC, and the one-time
+// manifest write.
 //
 // Size budget and eviction invariants (NNR_CACHE_BUDGET / --cache-budget,
 // 0 = unlimited): a store that pushes the cache over budget evicts
-// least-recently-used entries down to the budget. Recency comes from a
-// persisted append-only access journal (`access.journal`,
-// serialize/journal.h) updated on every hit and store; an entry whose key
-// lock is currently held (in-flight: being trained, stored, or
-// double-checked) is never evicted; eviction holds the key's lock while
-// unlinking so a concurrent claimant can never watch its entry vanish
-// mid-claim. `gc()` additionally sweeps orphaned `.tmp` files (dead writer
-// pids) and unheld lockfiles — exposed as `nnr_run --cache-gc`.
+// least-recently-used entries down to the budget. An entry's recency is its
+// own file's modification time: a store writes a fresh file, and a hit
+// (load/load_bytes) re-stamps it with one utimensat(2). Recency resolution
+// is therefore the filesystem's timestamp granularity; entries that share a
+// timestamp rank by key. Nothing else is kept for LRU, so a warm replay
+// creates and grows no file. (A cache dir from an older build may still
+// hold the access journal that once ranked LRU; nothing reads or writes it
+// now, and it can be deleted.) An entry whose key lock is currently held
+// (in-flight: being trained, stored, or double-checked) is never evicted;
+// eviction holds the key's lock while unlinking so a concurrent claimant
+// can never watch its entry vanish mid-claim. `gc()` additionally sweeps
+// orphaned `.tmp` files (dead writer pids) and unheld lockfiles — exposed
+// as `nnr_run --cache-gc`.
 #pragma once
 
 #include <atomic>
@@ -50,19 +55,17 @@
 #include "sched/cache_backend.h"
 #include "sched/cell_key.h"
 #include "sched/file_lock.h"
-#include "serialize/journal.h"
 
 namespace nnr::sched {
 
 class FsCacheBackend final : public CacheBackend {
  public:
-  /// Cache rooted at `dir`; an empty dir disables the cache (every load
-  /// misses without touching the stats, every store is a no-op).
-  /// `budget_bytes` > 0 bounds the cache's total entry size via LRU
-  /// eviction; <= 0 means unlimited.
+  /// Cache rooted at `dir` (created on first store or claim; throws
+  /// std::invalid_argument when empty — "no cache" is a null backend, see
+  /// make_cache_backend). `budget_bytes` > 0 bounds the cache's total entry
+  /// size via LRU eviction; <= 0 means unlimited.
   explicit FsCacheBackend(std::string dir, std::int64_t budget_bytes = 0);
 
-  [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] std::int64_t budget() const noexcept { return budget_; }
 
@@ -83,30 +86,22 @@ class FsCacheBackend final : public CacheBackend {
 
   /// Raw entry payload for `key` — the exact file bytes, unvalidated (the
   /// daemon's GET path; the requesting client re-verifies checksum and
-  /// embedded key). Counts a hit/miss and touches the journal, so remote
-  /// reads advance LRU recency like local ones.
+  /// embedded key). Counts a hit/miss and refreshes the entry's mtime, so
+  /// remote reads advance LRU recency like local ones.
   [[nodiscard]] std::optional<std::string> load_bytes(const CellKey& key);
 
   /// Stores pre-validated raw bytes under `key` (the daemon's PUT path, and
   /// store() after encoding): an atomic temp-file + rename
-  /// (serialize/atomic_file.h), a journal touch, and the budget-eviction
-  /// hook.
+  /// (serialize/atomic_file.h), whose fresh file is the entry's recency,
+  /// then the budget-eviction hook.
   bool store_bytes(const CellKey& key, std::string_view bytes,
                    CacheStats* run = nullptr);
 
   /// True when an entry file for `key` exists right now — a pure existence
   /// probe (the daemon's SUBMIT dedupe path). Unlike load/load_bytes it
-  /// counts no hit/miss and touches no journal: a queue submission must not
-  /// perturb the cache's stats or LRU recency.
+  /// counts no hit/miss and leaves the mtime alone: a queue submission must
+  /// not perturb the cache's stats or LRU recency.
   [[nodiscard]] bool has_entry(const CellKey& key) const;
-
-  /// Entry count and total entry bytes by directory scan (the daemon's
-  /// STAT path; excludes locks, journal, manifest, temp files).
-  struct Usage {
-    std::int64_t entries = 0;
-    std::int64_t bytes = 0;
-  };
-  [[nodiscard]] Usage usage() const;
 
   /// Cache file path for `key` (exposed for tests and tooling).
   [[nodiscard]] std::string path_for(const CellKey& key) const;
@@ -114,16 +109,16 @@ class FsCacheBackend final : public CacheBackend {
   [[nodiscard]] std::string lock_path_for(const CellKey& key) const;
 
  private:
-  void touch(const CellKey& key) const;  // journal an access (best-effort)
+  /// Stamps the entry's mtime with now (best-effort: an entry evicted since
+  /// the read just stays gone).
+  void touch(const CellKey& key) const;
   void ensure_dir_and_manifest();
   void maybe_evict();
   void evict_to_budget_locked(std::int64_t budget, GcStats* gc_stats);
-  void compact_journal_locked() const;
   [[nodiscard]] std::string gc_lock_path() const;
 
   std::string dir_;
   std::int64_t budget_ = 0;
-  serialize::AccessJournal journal_;
   std::atomic<bool> manifest_checked_{false};
   /// Running estimate of total entry bytes for the budget pre-check (-1 =
   /// not yet seeded by a scan). Advanced by this process's stores, reset

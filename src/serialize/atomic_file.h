@@ -1,6 +1,6 @@
 // Whole-file replacement that a reader never sees half done: the bytes go
 // to a temp file next to the target, which rename(2) then moves over it.
-// Every file the cache, the fleet queue, the access journal and the daemon
+// Every file the cache, the fleet queue, model checkpoints and the daemon
 // persist goes through here.
 //
 // The temp file is `<path>.tmp<pid>.<tid>`: the pid lets

@@ -1,12 +1,14 @@
 // Shared plumbing for the NNR binary formats — both the on-disk ones
 // (checkpoint.cc, run_result.cc) and the nnr_cached wire protocol
-// (net/frame.h): an incremental FNV-1a digest, Writer/Reader over files, and
-// BufWriter/BufReader over in-memory byte strings. Every producer emits
+// (net/frame.h): an incremental FNV-1a digest, one BufWriter that builds a
+// payload in memory, and a Reader over a file (or, as BufReader, over an
+// in-memory byte string). Every producer emits
 //   magic | body | u64 FNV-1a trailer over the body
 // and every consumer verifies magic + checksum before handing out a single
-// byte. A payload encoded with BufWriter is byte-identical to the file
-// Writer would have produced, which is what lets the remote cache daemon
-// ship cache entries over TCP and store them verbatim on disk.
+// byte. Files are BufWriter payloads landed whole by
+// serialize::write_file_atomic, so a failed write never clobbers the
+// previous file, and a cache entry's bytes are the same on disk and on the
+// wire: the remote cache daemon stores PUT bodies verbatim.
 //
 // Every format built on this layer shares the replicability contract:
 // float32 payloads are raw IEEE-754 bytes (never text), so a round-trip is
@@ -43,53 +45,9 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-class Writer {
- public:
-  Writer(const std::string& path, const std::array<char, 8>& magic)
-      : out_(path, std::ios::binary | std::ios::trunc) {
-    if (!out_) throw CheckpointError("cannot open for writing: " + path);
-    out_.write(magic.data(), magic.size());
-    bytes_written_ = magic.size();
-  }
-
-  template <typename T>
-  void put(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.write(reinterpret_cast<const char*>(&v), sizeof(T));
-    hash_.update(&v, sizeof(T));
-    bytes_written_ += sizeof(T);
-  }
-
-  void put_bytes(const void* data, std::size_t bytes) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(bytes));
-    hash_.update(data, bytes);
-    bytes_written_ += bytes;
-  }
-
-  /// Appends the checksum trailer and returns the file's total size in
-  /// bytes — the exact accounting figure, so callers (the replicate cache)
-  /// never have to re-stat the file and risk counting a garbage size.
-  std::uint64_t finish(const std::string& path) {
-    const std::uint64_t digest = hash_.digest();
-    out_.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-    bytes_written_ += sizeof(digest);
-    out_.flush();
-    if (!out_) throw CheckpointError("write failed: " + path);
-    return bytes_written_;
-  }
-
- private:
-  std::ofstream out_;
-  Fnv1a hash_;
-  std::uint64_t bytes_written_ = 0;
-};
-
-/// Writer twin that appends to an in-memory string instead of a file, with
-/// an arbitrary-length magic (file formats use 8 bytes, the wire frame 4).
-/// finish() returns the complete payload: magic | body | FNV-1a trailer —
-/// byte-identical to what Writer would have put on disk for the same magic
-/// and the same sequence of puts.
+/// Builds a payload in memory, with an arbitrary-length magic (file formats
+/// use 8 bytes, the wire frame 4). finish() returns the complete payload:
+/// magic | body | FNV-1a trailer.
 class BufWriter {
  public:
   explicit BufWriter(std::string_view magic) { buf_.assign(magic); }

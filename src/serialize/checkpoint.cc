@@ -3,14 +3,15 @@
 #include <array>
 #include <vector>
 
+#include "serialize/atomic_file.h"
 #include "serialize/binary_io.h"
 
 namespace nnr::serialize {
 
 namespace {
 
+using detail::BufWriter;
 using detail::Reader;
-using detail::Writer;
 
 constexpr std::array<char, 8> kMagic = {'N', 'N', 'R', 'C', 'K', 'P', 'T', '1'};
 constexpr std::array<char, 8> kTrainMagic = {'N', 'N', 'R', 'T', 'R',
@@ -18,6 +19,14 @@ constexpr std::array<char, 8> kTrainMagic = {'N', 'N', 'R', 'T', 'R',
 constexpr std::uint32_t kKindParam = 0;
 constexpr std::uint32_t kKindBuffer = 1;
 constexpr std::uint32_t kKindOptSlot = 2;
+
+/// Replaces `path` with the finished payload in one atomic rename, so a
+/// failed save leaves the previous checkpoint intact.
+void write_payload(const std::string& path, BufWriter& w) {
+  if (!write_file_atomic(path, w.finish())) {
+    throw CheckpointError("write failed: " + path);
+  }
+}
 
 struct Entry {
   std::uint32_t kind;
@@ -36,7 +45,7 @@ std::vector<Entry> collect_entries(nn::Model& model) {
   return entries;
 }
 
-void write_entry(Writer& w, const Entry& e) {
+void write_entry(BufWriter& w, const Entry& e) {
   w.put(e.kind);
   w.put(static_cast<std::uint32_t>(e.name.size()));
   w.put_bytes(e.name.data(), e.name.size());
@@ -83,10 +92,10 @@ void read_entry_into(Reader& r, const Entry& e, std::size_t index) {
 
 void save_model(const std::string& path, nn::Model& model) {
   const std::vector<Entry> entries = collect_entries(model);
-  Writer w(path, kMagic);
+  BufWriter w({kMagic.data(), kMagic.size()});
   w.put(static_cast<std::uint32_t>(entries.size()));
   for (const Entry& e : entries) write_entry(w, e);
-  w.finish(path);
+  write_payload(path, w);
 }
 
 void load_model(const std::string& path, nn::Model& model) {
@@ -112,7 +121,7 @@ std::size_t checkpoint_entry_count(nn::Model& model) {
 
 namespace {
 
-void write_slot(Writer& w, const std::string& name,
+void write_slot(BufWriter& w, const std::string& name,
                 const std::vector<float>& slot) {
   w.put(kKindOptSlot);
   w.put(static_cast<std::uint32_t>(name.size()));
@@ -151,13 +160,13 @@ void save_training_state(const std::string& path, nn::Model& model,
                          opt::Optimizer& optimizer) {
   const std::vector<Entry> entries = collect_entries(model);
   const auto slots = optimizer.mutable_state();
-  Writer w(path, kTrainMagic);
+  BufWriter w({kTrainMagic.data(), kTrainMagic.size()});
   w.put(static_cast<std::uint64_t>(optimizer.steps_taken()));
   w.put(static_cast<std::uint32_t>(entries.size()));
   w.put(static_cast<std::uint32_t>(slots.size()));
   for (const Entry& e : entries) write_entry(w, e);
   for (const auto& [name, slot] : slots) write_slot(w, name, *slot);
-  w.finish(path);
+  write_payload(path, w);
 }
 
 void load_training_state(const std::string& path, nn::Model& model,

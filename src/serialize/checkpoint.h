@@ -33,7 +33,8 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes all parameters and buffers of `model` to `path`.
+/// Writes all parameters and buffers of `model` to `path`, replacing it
+/// atomically: a failed save throws and leaves the previous file intact.
 void save_model(const std::string& path, nn::Model& model);
 
 /// Restores parameters and buffers into `model`, which must have the same
@@ -47,7 +48,8 @@ void load_model(const std::string& path, nn::Model& model);
 /// Writes model state AND optimizer state (momentum velocities / Adam
 /// moments / step counter). Resuming from a training-state checkpoint is
 /// bitwise indistinguishable from never stopping, with no optimizer-restart
-/// caveat (magic "NNRTRNS1"; model-only files use "NNRCKPT1").
+/// caveat (magic "NNRTRNS1"; model-only files use "NNRCKPT1"). Replaces
+/// `path` atomically, like save_model.
 void save_training_state(const std::string& path, nn::Model& model,
                          opt::Optimizer& optimizer);
 

@@ -2,7 +2,8 @@
 // against an in-process CacheServer — the drain signal on an empty queue,
 // kGone for reports nobody leased, the malformation matrix for the three
 // new opcodes (truncated bodies cost the connection, never the daemon;
-// out-of-range enum values answer kError), lease-death requeue paths
+// out-of-range enum values and unknown or retired opcodes answer kError),
+// lease-death requeue paths
 // (including a worker lost between its PUT and its REPORT, whose cell the
 // next worker settles as served), and queue durability across a daemon
 // restart.
@@ -213,6 +214,29 @@ TEST_F(FleetServerTest, ReportWithInvalidOutcomeByteAnswersError) {
   ASSERT_TRUE(reply.has_value());
   ASSERT_FALSE(reply->body.empty());
   EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kError);
+}
+
+TEST_F(FleetServerTest, UnknownAndRetiredOpcodesAnswerErrorOnALiveConnection) {
+  // The new-opcode rule: an opcode this daemon does not serve — the
+  // retired 7, or one from a newer client — is answered kError with the
+  // opcode echoed ("feature absent"), and the connection stays usable.
+  net::Socket sock = raw_conn();
+  for (const std::uint8_t opcode : {std::uint8_t{7}, std::uint8_t{200}}) {
+    ASSERT_TRUE(net::send_frame(sock, opcode, ""));
+    const auto reply = net::recv_frame(sock);
+    ASSERT_TRUE(reply.has_value()) << "opcode " << int{opcode};
+    EXPECT_EQ(reply->opcode, opcode);
+    ASSERT_FALSE(reply->body.empty());
+    EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kError)
+        << "opcode " << int{opcode};
+  }
+  const auto ping = static_cast<std::uint8_t>(net::Op::kPing);
+  ASSERT_TRUE(net::send_frame(sock, ping, ""));
+  const auto reply = net::recv_frame(sock);
+  ASSERT_TRUE(reply.has_value()) << "the connection must survive";
+  EXPECT_EQ(reply->opcode, ping);
+  ASSERT_FALSE(reply->body.empty());
+  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kOk);
 }
 
 TEST_F(FleetServerTest, MalformedFleetBodiesCostTheConnectionNotTheDaemon) {

@@ -2,16 +2,22 @@
 // a corrupted, truncated, or foreign entry must degrade to a miss
 // (recompute), never crash the study — plus the hardening surfaces:
 // exact per-run stats, cross-process claims, LRU eviction under a byte
-// budget (never an in-flight key), GC of orphaned temp/lock files, and the
+// budget by entry mtime (never an in-flight key), hits that refresh
+// recency without writing a byte, GC of orphaned temp/lock files, and the
 // environment's path to a backend.
 #include "sched/fs_cache_backend.h"
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,6 +48,34 @@ void expect_bitwise_equal(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(a.final_train_loss, b.final_train_loss);
 }
 
+/// Sets `key`'s entry mtime (its LRU recency) `age` into the past. Stores
+/// made microseconds apart can share one filesystem timestamp, so LRU tests
+/// order their entries explicitly.
+void backdate(const FsCacheBackend& cache, const CellKey& key,
+              std::chrono::seconds age) {
+  fs::last_write_time(cache.path_for(key),
+                      fs::file_time_type::clock::now() - age);
+}
+
+/// Names of the files in `dir`, sorted.
+std::vector<std::string> file_names(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Total size of the files in `dir` that are not cache entries (`*.rr`).
+std::uintmax_t non_entry_bytes(const fs::path& dir) {
+  std::uintmax_t bytes = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() != ".rr") bytes += e.file_size();
+  }
+  return bytes;
+}
+
 class FsCacheBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -57,13 +91,10 @@ class FsCacheBackendTest : public ::testing::Test {
   fs::path dir_;
 };
 
-TEST_F(FsCacheBackendTest, DisabledCacheIsInert) {
-  FsCacheBackend cache("");
-  EXPECT_FALSE(cache.enabled());
-  EXPECT_FALSE(cache.load({1, 2}).has_value());
-  EXPECT_FALSE(cache.store({1, 2}, sample_result()));
-  EXPECT_EQ(cache.stats().misses, 0);
-  EXPECT_EQ(cache.stats().stores, 0);
+TEST_F(FsCacheBackendTest, EmptyDirIsRejected) {
+  // "No cache" is a null backend (make_cache_backend), never an fs backend
+  // without a directory.
+  EXPECT_THROW(FsCacheBackend(""), std::invalid_argument);
 }
 
 TEST_F(FsCacheBackendTest, MissOnEmptyCache) {
@@ -251,12 +282,6 @@ TEST_F(FsCacheBackendTest, ClaimIsExclusivePerKey) {
   EXPECT_TRUE(peer.try_claim(key).has_value());
 }
 
-TEST_F(FsCacheBackendTest, DisabledCacheRefusesClaims) {
-  FsCacheBackend cache("");
-  EXPECT_FALSE(cache.try_claim({1, 1}).has_value());
-  EXPECT_FALSE(cache.claim({1, 1}).has_value());
-}
-
 class FsCacheBackendEvictionTest : public FsCacheBackendTest {
  protected:
   /// Bytes of one serialized sample_result entry (measured, not assumed).
@@ -280,6 +305,9 @@ TEST_F(FsCacheBackendEvictionTest, EvictsLeastRecentlyUsedDownToBudget) {
   ASSERT_TRUE(cache.store(a, sample_result()));
   ASSERT_TRUE(cache.store(b, sample_result()));
   ASSERT_TRUE(cache.store(c, sample_result()));
+  backdate(cache, a, std::chrono::seconds(30));
+  backdate(cache, b, std::chrono::seconds(20));
+  backdate(cache, c, std::chrono::seconds(10));
   // Touch `a`: it is now more recently used than `b` and `c`.
   ASSERT_TRUE(cache.load(a).has_value());
   // The fourth store exceeds the budget; the LRU entry (`b`) must go.
@@ -302,6 +330,8 @@ TEST_F(FsCacheBackendEvictionTest, NeverEvictsAnInFlightKey) {
   const CellKey a{1, 1}, b{2, 2}, c{3, 3};
   ASSERT_TRUE(cache.store(a, sample_result()));
   ASSERT_TRUE(cache.store(b, sample_result()));
+  backdate(cache, a, std::chrono::seconds(20));
+  backdate(cache, b, std::chrono::seconds(10));
   // `a` is the LRU candidate but is in flight (claim held, as the
   // scheduler holds it around a double-check/recompute).
   auto claim = cache.try_claim(a);
@@ -312,6 +342,24 @@ TEST_F(FsCacheBackendEvictionTest, NeverEvictsAnInFlightKey) {
   EXPECT_FALSE(fs::exists(cache.path_for(b)))
       << "eviction falls through to the next LRU entry";
   EXPECT_TRUE(fs::exists(cache.path_for(c)));
+}
+
+TEST_F(FsCacheBackendTest, HitsRefreshRecencyAndGrowNothing) {
+  FsCacheBackend cache(dir_.string());
+  const CellKey key{41, 42};
+  ASSERT_TRUE(cache.store(key, sample_result()));
+  backdate(cache, key, std::chrono::seconds(60));
+  const fs::file_time_type stored_at = fs::last_write_time(cache.path_for(key));
+  const std::vector<std::string> names = file_names(dir_);
+
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(cache.load(key).has_value());
+  ASSERT_TRUE(cache.load_bytes(key).has_value());
+
+  EXPECT_GT(fs::last_write_time(cache.path_for(key)), stored_at)
+      << "a hit must refresh the entry's LRU recency";
+  EXPECT_EQ(file_names(dir_), names) << "hits must create no file";
+  EXPECT_LT(non_entry_bytes(dir_), 1024u)
+      << "101 hits must not grow any bookkeeping file";
 }
 
 TEST_F(FsCacheBackendEvictionTest, UnlimitedBudgetNeverEvicts) {
@@ -372,10 +420,12 @@ TEST_F(FsCacheBackendTest, GcKeepsTempFilesTheAtomicWriterNamesForALiveWriter) {
   EXPECT_TRUE(fs::exists(entry_tmp));
 }
 
-TEST_F(FsCacheBackendTest, GcEvictsToBudgetAndCompactsTheJournal) {
+TEST_F(FsCacheBackendTest, GcEvictsToBudget) {
   FsCacheBackend fill(dir_.string());
   for (std::uint64_t i = 1; i <= 6; ++i) {
     ASSERT_TRUE(fill.store(CellKey{i, 0}, sample_result()));
+    // Entry 1 is the oldest store, entry 6 the newest.
+    backdate(fill, CellKey{i, 0}, std::chrono::seconds(10 * (7 - i)));
   }
   const auto entry =
       static_cast<std::int64_t>(fs::file_size(fill.path_for(CellKey{1, 0})));
@@ -387,18 +437,9 @@ TEST_F(FsCacheBackendTest, GcEvictsToBudgetAndCompactsTheJournal) {
   // LRU means the two newest stores survive.
   EXPECT_TRUE(fs::exists(bounded.path_for(CellKey{5, 0})));
   EXPECT_TRUE(fs::exists(bounded.path_for(CellKey{6, 0})));
-  // Compacted journal: one line per surviving entry.
-  std::ifstream journal(dir_ / "access.journal");
-  std::string line;
-  int lines = 0;
-  while (std::getline(journal, line)) ++lines;
-  EXPECT_EQ(lines, 2);
 }
 
-TEST_F(FsCacheBackendTest, GcOnDisabledOrMissingDirIsInert) {
-  FsCacheBackend disabled("");
-  const GcStats none = disabled.gc();
-  EXPECT_EQ(none.entries, 0);
+TEST_F(FsCacheBackendTest, GcOnMissingDirIsInert) {
   FsCacheBackend missing((dir_ / "never_created").string());
   const GcStats empty = missing.gc();
   EXPECT_EQ(empty.entries, 0);

@@ -3,7 +3,9 @@
 # a study killed mid-grid (SIGKILL — no cleanup runs, claims are released
 # by the kernel, temp files may be orphaned) and rerun against the same
 # cache trains exactly the replicates that were not yet durably stored,
-# and the final tables are byte-identical to an uninterrupted run.
+# and the final tables are byte-identical to an uninterrupted run. A warm
+# rerun against the resumed cache then trains nothing and writes nothing:
+# the cache dir's file names and sizes are unchanged.
 #
 # Usage: kill_resume_test.sh /path/to/nnr_run
 set -euo pipefail
@@ -71,4 +73,20 @@ for ext in txt csv json; do
   }
 done
 
-echo "kill-resume OK: total=$total cached-at-kill=$present resumed-trained=$trained"
+# Warm rerun: every replicate is a hit, and a hit only re-stamps its
+# entry's mtime — no file is created, removed, or grows.
+listing() { find "$WORK/cache" -type f -printf '%p %s\n' | sort; }
+listing > "$WORK/cache.before"
+"$NNR_RUN" --study fig2 --cache-dir "$WORK/cache" --out "$WORK/out-warm" \
+  2> "$WORK/warm.err"
+warm="$(last_trained "$WORK/warm.err")"
+[ "$warm" -eq 0 ] || { echo "FAIL: warm rerun trained=$warm"; exit 1; }
+listing > "$WORK/cache.after"
+diff "$WORK/cache.before" "$WORK/cache.after" || {
+  echo "FAIL: a warm rerun changed the cache dir's files"; exit 1; }
+for ext in txt csv json; do
+  cmp "$WORK/out-ref/study_fig2.$ext" "$WORK/out-warm/study_fig2.$ext" || {
+    echo "FAIL: warm table study_fig2.$ext differs from reference"; exit 1; }
+done
+
+echo "kill-resume OK: total=$total cached-at-kill=$present resumed-trained=$trained warm-trained=0"

@@ -1,6 +1,7 @@
 // Checkpoint round-trip: bitwise fidelity, structure validation, corruption
-// detection, and the resume-determinism property (save -> load -> continue
-// == uninterrupted run under deterministic execution).
+// detection, atomic replacement (a failed save keeps the previous file), and
+// the resume-determinism property (save -> load -> continue == uninterrupted
+// run under deterministic execution).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include "nn/loss.h"
 #include "nn/zoo.h"
 #include "opt/sgd.h"
+#include "serialize/atomic_file.h"
 #include "serialize/checkpoint.h"
 #include "test_util.h"
 
@@ -163,6 +165,29 @@ TEST(Checkpoint, MissingFileThrows) {
   Model m = nn::small_cnn(10, false);
   EXPECT_THROW(load_model(temp_path("ckpt_does_not_exist.nnr"), m),
                CheckpointError);
+}
+
+TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
+  ScopedFile file(temp_path("ckpt_failed_save.nnr"));
+  Model a = nn::small_cnn(10, false);
+  rng::Generator init_a(19);
+  a.init_weights(init_a);
+  save_model(file.path(), a);
+
+  // A directory where the writer stages its temp file makes the next save
+  // fail after the model is serialized but before anything is replaced.
+  const std::filesystem::path blocker = temp_path_for(file.path());
+  std::filesystem::create_directory(blocker);
+  Model b = nn::small_cnn(10, false);
+  rng::Generator init_b(23);
+  b.init_weights(init_b);
+  EXPECT_THROW(save_model(file.path(), b), CheckpointError);
+  std::filesystem::remove(blocker);
+
+  Model loaded = nn::small_cnn(10, false);
+  load_model(file.path(), loaded);
+  EXPECT_EQ(loaded.flat_weights(), a.flat_weights())
+      << "a failed save must leave the previous checkpoint intact";
 }
 
 TEST(Checkpoint, EntryCountCoversParamsAndBuffers) {

@@ -128,6 +128,18 @@ std::int64_t parse_int_flag(const char* flag, const char* text) {
   return *parsed;
 }
 
+/// A count flag (--replicates, --epochs): a strict integer of at least 1, so
+/// "0" or "-3" is an error, never a silent fallback to the preset.
+std::int64_t parse_count_flag(const char* flag, const char* text) {
+  const std::int64_t count = parse_int_flag(flag, text);
+  if (count < 1) {
+    std::fprintf(stderr, "nnr_run: %s must be at least 1, got '%s'\n", flag,
+                 text);
+    std::exit(2);
+  }
+  return count;
+}
+
 /// Sanity cap for --threads (a pool cap, not a budget — far above any real
 /// machine, far below int overflow).
 constexpr std::int64_t kMaxThreadsFlag = 1 << 20;
@@ -143,8 +155,8 @@ struct Options {
       core::NoiseVariant::kAlgoPlusImpl};
   core::OptimizerFactory optimizer;  // empty = recipe SGD
   std::string optimizer_name;        // "" = recipe SGD
-  std::int64_t replicates = 0;  // 0 = task preset
-  std::int64_t epochs = 0;      // 0 = recipe preset
+  std::int64_t replicates = 0;  // 0 = not given: task preset
+  std::int64_t epochs = 0;      // 0 = not given: recipe preset
   int threads = 0;
   bool csv = false;
   bool json = false;
@@ -224,14 +236,15 @@ const FlagSpec kFlags[] = {
        o.optimizer_name = v;
      }},
     {"--replicates", "N", Section::kSingle,
-     "independent trainings per cell (default: task preset)",
+     "independent trainings per cell, N >= 1 (default: task\n"
+     "preset)",
      [](Options& o, const char* v) {
-       o.replicates = parse_int_flag("--replicates", v);
+       o.replicates = parse_count_flag("--replicates", v);
      }},
     {"--epochs", "N", Section::kSingle,
-     "override the task recipe's epoch count",
+     "override the task recipe's epoch count, N >= 1",
      [](Options& o, const char* v) {
-       o.epochs = parse_int_flag("--epochs", v);
+       o.epochs = parse_count_flag("--epochs", v);
      }},
     {"--study", "LIST", Section::kStudy,
      "run named studies (a full figure/table grid each); see\n"
@@ -267,8 +280,9 @@ const FlagSpec kFlags[] = {
     {"--cache-gc", nullptr, Section::kMaint,
      "garbage-collect the cache and exit: sweep orphaned .tmp\n"
      "files (dead writers) and unheld lockfiles, evict to the\n"
-     "byte budget (LRU), compact the access journal. Works on\n"
-     "a directory (--cache-dir) or a daemon (--cache-url)",
+     "byte budget (LRU: an entry's mtime is its last store or\n"
+     "hit). Works on a directory (--cache-dir) or a daemon\n"
+     "(--cache-url)",
      [](Options& o, const char*) { o.cache_gc = true; }},
     {"--cache-dir", "DIR", Section::kShared,
      "persistent replicate cache; replicates already on disk\n"
