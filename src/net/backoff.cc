@@ -30,11 +30,10 @@ Backoff::Backoff(std::int64_t base_ms, std::int64_t max_ms,
       max_ms_(std::max(max_ms, base_ms_)),
       jitter_(seed) {}
 
-std::int64_t Backoff::next_ms(std::int64_t floor_ms) noexcept {
+std::int64_t Backoff::next_ms() noexcept {
   const int shift = std::min(failures_, 20);  // 2^20 * base is past any cap
   ++failures_;
-  const std::int64_t window = std::min(max_ms_, base_ms_ << shift);
-  return jitter_.around(std::max(window, floor_ms));
+  return jitter_.around(std::min(max_ms_, base_ms_ << shift));
 }
 
 }  // namespace nnr::net

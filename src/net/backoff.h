@@ -51,10 +51,9 @@ class Backoff {
   Backoff(std::int64_t base_ms, std::int64_t max_ms,
           std::uint64_t seed) noexcept;
 
-  /// The next wait: jitter.around(max(min(base << failures, max),
-  /// floor_ms)). The cap bounds the window and `floor_ms` (a server's
-  /// retry-after hint) raises it; jitter widens it +-50%.
-  [[nodiscard]] std::int64_t next_ms(std::int64_t floor_ms = 0) noexcept;
+  /// The next wait: jitter.around(min(base << failures, max)). The cap
+  /// bounds the window; jitter widens it +-50%.
+  [[nodiscard]] std::int64_t next_ms() noexcept;
 
   void reset() noexcept { failures_ = 0; }
   [[nodiscard]] int failures() const noexcept { return failures_; }
@@ -66,18 +65,14 @@ class Backoff {
   Jitter jitter_;
 };
 
-/// Runs `attempt` until it returns true or `budget_ms` has passed since its
-/// first failure; returns whether an attempt succeeded. Each run is called
-/// as attempt(hint_ms) with hint_ms == 0 and may set it to a server's
-/// retry-after hint. Between runs it sleeps backoff.next_ms(hint_ms),
-/// clipped so that no sleep ends past the budget. Nothing is held while it
-/// sleeps — an attempt takes and drops its own locks — and the first run
-/// costs no clock read and no allocation, so a request path can wrap every
-/// request in it.
+/// Runs `attempt()` until it returns true or `budget_ms` has passed since
+/// its first failure; returns whether an attempt succeeded. Between runs it
+/// sleeps backoff.next_ms(), clipped so that no sleep ends past the budget.
+/// Nothing is held while it sleeps — an attempt takes and drops its own
+/// locks — and the first run costs no clock read and no allocation.
 template <typename Attempt>
 bool retry(Backoff& backoff, std::int64_t budget_ms, Attempt&& attempt) {
-  std::int64_t hint_ms = 0;
-  if (attempt(hint_ms)) return true;
+  if (attempt()) return true;
   using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(budget_ms);
@@ -87,10 +82,9 @@ bool retry(Backoff& backoff, std::int64_t budget_ms, Attempt&& attempt) {
                                                               Clock::now())
             .count();
     if (left_ms <= 0) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        std::min(backoff.next_ms(hint_ms), left_ms)));
-    hint_ms = 0;
-    if (attempt(hint_ms)) return true;
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::min(backoff.next_ms(), left_ms)));
+    if (attempt()) return true;
   }
 }
 

@@ -65,11 +65,11 @@
 //               means two daemons share a directory — a misconfigured shard
 //               map. Old daemons answer kError: feature absent)
 //
-// Overload responses: a rate-limited request is answered with its own
-// opcode and a kThrottled status whose body is `u32 retry_after_ms` — the
-// connection stays healthy, the client sleeps the hint (jittered) and
-// resends. kThrottled never carries data, so honoring it late or not at
-// all costs throughput, never correctness.
+// The daemon serves every well-formed request on an admitted connection,
+// in order, even when a client pipelines several. Nothing asks a client to
+// slow down: the only retry hints are the kGoAway at the connection cap
+// and a kSubmit refused during the final drain, each a u32 retry_after_ms
+// after a kBusy status.
 //
 // kSubmit/kFetch/kReport/kQueueStat are the fleet work queue (the daemon-
 // side cell queue; lifecycle diagram in ARCHITECTURE.md). They were added
@@ -134,9 +134,9 @@ enum class Status : std::uint8_t {
                 // at its connection cap)
   kGone = 5,    // lease unknown or already expired
   kError = 6,   // request understood but refused (e.g. invalid PUT payload)
-  kThrottled = 7,  // rate-limited; body carries u32 retry_after_ms. Added
-                   // within version 1: old clients treat it like any other
-                   // unexpected status (miss/failure) and stay correct.
+  // 7 is retired (a rate-limit refusal no deployment enabled) and stays
+  // reserved: a client treats it like any unexpected status (a miss, a
+  // dropped store, a busy claim) and stays correct.
 };
 
 /// Thrown by BodyReader on a short or overlong body. Both endpoints treat

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -153,7 +152,7 @@ void CacheServer::run() {
     if (!leases_.empty()) {
       const auto now = std::chrono::steady_clock::now();
       auto earliest = std::chrono::steady_clock::time_point::max();
-      for (const auto& [hex, lease] : leases_) {
+      for (const auto& [key, lease] : leases_) {
         earliest = std::min(earliest, lease.expiry);
       }
       const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -211,7 +210,7 @@ void CacheServer::accept_new_conns() {
       rejected_busy_.fetch_add(1, std::memory_order_relaxed);
       BodyWriter w;
       w.put(static_cast<std::uint8_t>(Status::kBusy));
-      w.put(config_.busy_retry_ms);
+      w.put(kBusyRetryMs);
       const std::string frame =
           net::encode_frame(static_cast<std::uint8_t>(Op::kGoAway), w.take());
       (void)::send(sock.fd(), frame.data(), frame.size(), MSG_NOSIGNAL);
@@ -221,11 +220,7 @@ void CacheServer::accept_new_conns() {
     auto conn = std::make_unique<Conn>();
     conn->id = next_conn_id_++;
     conn->sock = std::move(sock);
-    const auto now = std::chrono::steady_clock::now();
-    conn->last_activity = now;
-    conn->last_refill = now;
-    conn->tokens =
-        config_.burst > 0 ? config_.burst : std::max(8.0, 2 * config_.max_rps);
+    conn->last_activity = std::chrono::steady_clock::now();
     const int fd = conn->sock.fd();
     struct epoll_event ev{};
     ev.events = EPOLLIN;
@@ -233,25 +228,6 @@ void CacheServer::accept_new_conns() {
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) continue;
     conns_.emplace(fd, std::move(conn));
   }
-}
-
-bool CacheServer::take_token(Conn& conn, std::uint32_t* retry_after_ms) {
-  if (config_.max_rps <= 0) return true;
-  const double cap =
-      config_.burst > 0 ? config_.burst : std::max(8.0, 2 * config_.max_rps);
-  const auto now = std::chrono::steady_clock::now();
-  const double dt =
-      std::chrono::duration<double>(now - conn.last_refill).count();
-  conn.last_refill = now;
-  conn.tokens = std::min(cap, conn.tokens + dt * config_.max_rps);
-  if (conn.tokens >= 1.0) {
-    conn.tokens -= 1.0;
-    return true;
-  }
-  const double wait_s = (1.0 - conn.tokens) / config_.max_rps;
-  *retry_after_ms = static_cast<std::uint32_t>(
-      std::clamp(std::ceil(wait_s * 1000.0), 1.0, 60'000.0));
-  return false;
 }
 
 void CacheServer::evict_idle_conns() {
@@ -296,18 +272,7 @@ bool CacheServer::service_readable(Conn& conn) {
     try {
       const net::Frame frame = net::decode_frame(
           std::string_view(conn.in.data() + off + sizeof(len), len));
-      std::uint32_t retry_after_ms = 0;
-      if (take_token(conn, &retry_after_ms)) {
-        handle_frame(conn, frame.opcode, frame.body);
-      } else {
-        // Over rate: answer instead of serve. The request is well-formed,
-        // so the connection survives — only the work is refused.
-        throttled_.fetch_add(1, std::memory_order_relaxed);
-        BodyWriter w;
-        w.put(static_cast<std::uint8_t>(Status::kThrottled));
-        w.put(retry_after_ms);
-        conn.out += net::encode_frame(frame.opcode, w.take());
-      }
+      handle_frame(conn, frame.opcode, frame.body);
     } catch (const serialize::CheckpointError&) {
       return false;  // malformed payload: protocol violation
     } catch (const net::ProtocolError&) {
@@ -351,11 +316,35 @@ void CacheServer::close_conn(int fd) {
   release_conn_leases(conn_id);
 }
 
-std::unordered_map<std::string, CacheServer::Lease>::iterator
-CacheServer::drop_lease(
-    std::unordered_map<std::string, Lease>::iterator it) {
+BodyWriter CacheServer::grant_lease(const Conn& conn, const CellKey& key,
+                                    std::uint32_t requested_ttl_ms,
+                                    FileLock lock, bool from_queue) {
+  const std::uint32_t ttl_ms =
+      std::clamp(requested_ttl_ms == 0 ? config_.default_ttl_ms
+                                       : requested_ttl_ms,
+                 kMinTtlMs, config_.max_ttl_ms);
+  Lease lease;
+  lease.lease_id = next_lease_id_++;
+  lease.conn_id = conn.id;
+  lease.ttl_ms = ttl_ms;
+  lease.expiry =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ttl_ms);
+  lease.lock.emplace(std::move(lock));
+  lease.from_queue = from_queue;
+  BodyWriter w;
+  w.put(static_cast<std::uint8_t>(Status::kGranted));
+  w.put(lease.lease_id);
+  // The TTL actually armed (post-clamp): the client paces its heartbeats
+  // against this, never against what it asked for.
+  w.put(ttl_ms);
+  leases_.emplace(key, std::move(lease));
+  return w;
+}
+
+CacheServer::LeaseTable::iterator CacheServer::drop_lease(
+    LeaseTable::iterator it) {
   // A queue lease dying unreported sends its item back to pending.
-  if (it->second.from_queue) queue_.release_to_pending(it->second.key);
+  if (it->second.from_queue) queue_.release_to_pending(it->first);
   return leases_.erase(it);  // FileLock destructor drops the flock
 }
 
@@ -477,12 +466,9 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
     }
     case Op::kTryClaim: {
       const CellKey key = read_key(r);
-      std::uint32_t ttl_ms = r.get<std::uint32_t>();
-      if (ttl_ms == 0) ttl_ms = config_.default_ttl_ms;
-      ttl_ms = std::clamp(ttl_ms, config_.min_ttl_ms, config_.max_ttl_ms);
-      const std::string hex = key.hex();
+      const auto ttl_ms = r.get<std::uint32_t>();
       expire_leases();
-      if (leases_.count(hex) != 0) {
+      if (leases_.count(key) != 0) {
         resp = status_only(Status::kBusy);
         break;
       }
@@ -493,27 +479,15 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
         resp = status_only(Status::kBusy);  // a local process holds it
         break;
       }
-      Lease lease;
-      lease.lease_id = next_lease_id_++;
-      lease.conn_id = conn.id;
-      lease.ttl_ms = ttl_ms;
-      lease.expiry = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(ttl_ms);
-      lease.lock.emplace(std::move(*lock));
-      BodyWriter w;
-      w.put(static_cast<std::uint8_t>(Status::kGranted));
-      w.put(lease.lease_id);
-      // The TTL actually armed (post-clamp): the client paces its
-      // heartbeats against this, never against what it asked for.
-      w.put(ttl_ms);
-      resp = w.take();
-      leases_.emplace(hex, std::move(lease));
+      resp = grant_lease(conn, key, ttl_ms, std::move(*lock),
+                         /*from_queue=*/false)
+                 .take();
       break;
     }
     case Op::kRelease: {
       const CellKey key = read_key(r);
       const auto lease_id = r.get<std::uint64_t>();
-      const auto it = leases_.find(key.hex());
+      const auto it = leases_.find(key);
       if (it != leases_.end() && it->second.lease_id == lease_id) {
         drop_lease(it);
         resp = status_only(Status::kOk);
@@ -525,7 +499,7 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
     case Op::kHeartbeat: {
       const CellKey key = read_key(r);
       const auto lease_id = r.get<std::uint64_t>();
-      const auto it = leases_.find(key.hex());
+      const auto it = leases_.find(key);
       if (it != leases_.end() && it->second.lease_id == lease_id) {
         it->second.expiry = std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(it->second.ttl_ms);
@@ -558,7 +532,7 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
         // daemon.
         BodyWriter w;
         w.put(static_cast<std::uint8_t>(Status::kBusy));
-        w.put(config_.busy_retry_ms);
+        w.put(kBusyRetryMs);
         resp = w.take();
         break;
       }
@@ -586,16 +560,14 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
       break;
     }
     case Op::kFetch: {
-      std::uint32_t ttl_ms = r.get<std::uint32_t>();
-      if (ttl_ms == 0) ttl_ms = config_.default_ttl_ms;
-      ttl_ms = std::clamp(ttl_ms, config_.min_ttl_ms, config_.max_ttl_ms);
+      const auto ttl_ms = r.get<std::uint32_t>();
       expire_leases();
       // A pending key is available when nothing holds it: no lease in the
       // table and the flock is free (a local fs client could be training
       // it directly against the shared directory).
       std::optional<FileLock> lock;
       const auto item = queue_.fetch_next([&](const CellKey& key) {
-        if (leases_.count(key.hex()) != 0) return false;
+        if (leases_.count(key) != 0) return false;
         lock = FileLock::try_acquire(backend_.lock_path_for(key));
         return lock.has_value();
       });
@@ -608,19 +580,8 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
         resp = w.take();
         break;
       }
-      Lease lease;
-      lease.lease_id = next_lease_id_++;
-      lease.conn_id = conn.id;
-      lease.ttl_ms = ttl_ms;
-      lease.expiry = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(ttl_ms);
-      lease.lock.emplace(std::move(*lock));
-      lease.from_queue = true;
-      lease.key = item->key;
-      BodyWriter w;
-      w.put(static_cast<std::uint8_t>(Status::kGranted));
-      w.put(lease.lease_id);
-      w.put(ttl_ms);
+      BodyWriter w = grant_lease(conn, item->key, ttl_ms, std::move(*lock),
+                                 /*from_queue=*/true);
       w.put(item->key.hi);
       w.put(item->key.lo);
       w.put(static_cast<std::uint32_t>(item->study.size()));
@@ -628,7 +589,6 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
       w.put(item->cell);
       w.put(item->replicate);
       resp = w.take();
-      leases_.emplace(item->key.hex(), std::move(lease));
       break;
     }
     case Op::kReport: {
@@ -640,7 +600,7 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
         resp = status_only(Status::kError);
         break;
       }
-      const auto it = leases_.find(key.hex());
+      const auto it = leases_.find(key);
       if (it == leases_.end() || it->second.lease_id != lease_id ||
           !it->second.from_queue) {
         // Unknown lease (expired, requeued, or never granted): nothing

@@ -36,17 +36,17 @@
 // item. The queue persists itself inside the cache directory, so a daemon
 // restart preserves the pending set (in-flight leases revert to pending).
 //
-// Self-protection (all off by default in-library; nnr_cached arms sane
-// defaults): a max-connection cap (excess accepts are answered with one
-// kGoAway frame carrying kBusy + a retry hint, then closed), a
+// Self-protection: a max-connection cap (excess accepts are answered with
+// one kGoAway frame carrying kBusy + a retry hint, then closed), a
 // per-connection idle deadline (a slow-loris client that connects and
-// sends nothing is evicted instead of holding an fd forever), and a
-// per-connection token bucket (an over-rate client's requests are answered
-// kThrottled + retry_after_ms instead of being served — the connection
-// survives, the work doesn't). Shutdown via stop() is graceful: pending
-// response bytes are flushed (bounded by drain_timeout_ms), every lease is
-// released (queue leases requeue), and the fleet queue snapshot is
-// persisted so a restarted daemon resumes the wave.
+// sends nothing is evicted instead of holding an fd forever), and the
+// frame size cap of net/frame.h. Every well-formed request on an admitted
+// connection is served, in order. CacheServerConfig{} holds the values
+// nnr_cached deploys, so an in-process daemon defends itself exactly like
+// the deployed one. Shutdown via stop() is graceful: pending response
+// bytes are flushed (bounded by drain_timeout_ms), every lease is released
+// (queue leases requeue), and the fleet queue snapshot is persisted so a
+// restarted daemon resumes the wave.
 #pragma once
 
 #include <atomic>
@@ -58,6 +58,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "net/cache_protocol.h"
 #include "net/socket.h"
 #include "sched/fleet_queue.h"
 #include "sched/fs_cache_backend.h"
@@ -69,26 +70,20 @@ struct CacheServerConfig {
   std::int64_t budget = 0;     // byte budget; 0 = unlimited
   std::string bind_addr = "127.0.0.1";
   std::uint16_t port = 0;      // 0 = ephemeral (read back via port())
-  /// TTL bounds: a claim's requested TTL is clamped into [min, max];
-  /// a request of 0 takes default_ttl_ms.
-  std::uint32_t min_ttl_ms = 100;
+  /// TTL bounds: a claim's requested TTL is clamped into
+  /// [CacheServer::kMinTtlMs, max_ttl_ms]; a request of 0 takes
+  /// default_ttl_ms.
   std::uint32_t max_ttl_ms = 60'000;
   std::uint32_t default_ttl_ms = 10'000;
 
-  // ---- Overload protection (0 disables each; nnr_cached arms defaults).
+  // ---- Overload protection (0 disables each).
   /// Registered connections beyond this are answered with one kGoAway
-  /// (kBusy + busy_retry_ms) and closed without ever reaching epoll.
-  std::size_t max_conns = 0;
+  /// (kBusy + CacheServer::kBusyRetryMs) and closed without ever reaching
+  /// epoll.
+  std::size_t max_conns = 256;
   /// A connection that delivers no bytes for this long is evicted —
   /// the slow-loris defense. Healthy idle clients reconnect transparently.
-  std::int64_t idle_timeout_ms = 0;
-  /// Per-connection token bucket: sustained requests/second above this
-  /// are answered kThrottled + retry_after_ms instead of being served.
-  double max_rps = 0.0;
-  /// Bucket depth (burst tolerance); 0 derives max(8, 2 * max_rps).
-  double burst = 0.0;
-  /// Retry hint inside a kGoAway busy answer.
-  std::uint32_t busy_retry_ms = 1'000;
+  std::int64_t idle_timeout_ms = 60'000;
   /// Graceful-stop bound on flushing already-queued response bytes.
   std::int64_t drain_timeout_ms = 2'000;
 };
@@ -100,6 +95,12 @@ class CacheServer {
   ~CacheServer();
   CacheServer(const CacheServer&) = delete;
   CacheServer& operator=(const CacheServer&) = delete;
+
+  /// Floor of every granted lease TTL.
+  static constexpr std::uint32_t kMinTtlMs = 100;
+  /// Retry hint of a kBusy refusal: the kGoAway at the connection cap and
+  /// a kSubmit read during the final drain.
+  static constexpr std::uint32_t kBusyRetryMs = 1'000;
 
   /// Binds and listens (and arms the wakeup pipe). False on failure —
   /// inspect errno / logs. Must be called before run().
@@ -119,12 +120,10 @@ class CacheServer {
   /// Overload-protection tallies (readable from any thread; tests).
   struct OverloadCounters {
     std::int64_t rejected_busy = 0;  // accepts refused at max_conns
-    std::int64_t throttled = 0;      // requests answered kThrottled
     std::int64_t idle_evicted = 0;   // connections closed by idle deadline
   };
   [[nodiscard]] OverloadCounters overload_counters() const noexcept {
     return {rejected_busy_.load(std::memory_order_relaxed),
-            throttled_.load(std::memory_order_relaxed),
             idle_evicted_.load(std::memory_order_relaxed)};
   }
 
@@ -136,9 +135,6 @@ class CacheServer {
     std::string out;  // unsent response bytes
     /// Last time bytes arrived (idle eviction clock).
     std::chrono::steady_clock::time_point last_activity;
-    /// Token bucket (meaningful when config.max_rps > 0).
-    double tokens = 0.0;
-    std::chrono::steady_clock::time_point last_refill;
   };
 
   struct Lease {
@@ -152,8 +148,8 @@ class CacheServer {
     /// Granted by FETCH (vs TRY_CLAIM): if this lease dies before its
     /// item is done, the item returns to the queue.
     bool from_queue = false;
-    CellKey key{};
   };
+  using LeaseTable = std::unordered_map<CellKey, Lease, CellKeyHash>;
 
   void accept_new_conns();
   /// Reads (or creates) `<dir>/shard_id.nnr`: dir_uid_ persists across
@@ -171,19 +167,22 @@ class CacheServer {
   void handle_frame(Conn& conn, std::uint8_t opcode, const std::string& body);
   void expire_leases();
   void release_conn_leases(std::uint64_t conn_id);
-  /// True when the conn's bucket grants one request; otherwise fills
-  /// `retry_after_ms` with the earliest time a token will exist.
-  bool take_token(Conn& conn, std::uint32_t* retry_after_ms);
   /// Closes connections whose idle deadline passed (run-loop tick).
   void evict_idle_conns();
   /// Graceful stop: bounded flush of queued responses, release every
   /// lease (queue leases requeue), persist the fleet queue snapshot.
   void drain_and_shutdown();
 
+  /// Leases `key` to `conn` under the key's already-taken flock (kTryClaim
+  /// and kFetch): clamps the requested TTL, records the lease, and returns
+  /// the granted reply's prefix — kGranted, lease_id, and the TTL actually
+  /// armed.
+  net::BodyWriter grant_lease(const Conn& conn, const CellKey& key,
+                              std::uint32_t requested_ttl_ms, FileLock lock,
+                              bool from_queue);
   /// Erases the lease (returning the next iterator); a queue lease whose
   /// item is not yet done sends the item back to pending first.
-  std::unordered_map<std::string, Lease>::iterator drop_lease(
-      std::unordered_map<std::string, Lease>::iterator it);
+  LeaseTable::iterator drop_lease(LeaseTable::iterator it);
 
   CacheServerConfig config_;
   FsCacheBackend backend_;
@@ -204,10 +203,9 @@ class CacheServer {
   std::uint64_t boot_epoch_ = 0;
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_lease_id_ = 1;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;       // by fd
-  std::unordered_map<std::string, Lease> leases_;              // by key hex
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_;  // by fd
+  LeaseTable leases_;
   std::atomic<std::int64_t> rejected_busy_{0};
-  std::atomic<std::int64_t> throttled_{0};
   std::atomic<std::int64_t> idle_evicted_{0};
 };
 

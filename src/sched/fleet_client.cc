@@ -34,8 +34,7 @@ bool retry_within_lease(const RemoteCacheBackend& client,
   net::Backoff backoff(options.reconnect_backoff_ms,
                        options.reconnect_backoff_max_ms,
                        net::default_jitter_seed());
-  return net::retry(backoff, options.lease_ttl_ms,
-                    [&](std::int64_t&) { return attempt(); });
+  return net::retry(backoff, options.lease_ttl_ms, attempt);
 }
 
 bool retry_until_answered(const RemoteCacheBackend& client,

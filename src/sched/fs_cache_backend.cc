@@ -24,7 +24,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kGcLockName = "gc.lock";
-constexpr const char* kManifestName = "manifest";
 
 /// The fs backend's claim token: the flock itself. Destruction closes the
 /// fd, which releases the kernel lock — exactly what process death does.
@@ -53,7 +52,7 @@ bool is_entry_name(const std::string& name) {
   });
 }
 
-/// Entries currently on disk (ignores temp files, locks, the manifest).
+/// Entries currently on disk (ignores temp files and locks).
 std::vector<EntryInfo> list_entries(const std::string& dir) {
   std::vector<EntryInfo> entries;
   std::error_code ec;
@@ -129,19 +128,9 @@ void FsCacheBackend::touch(const CellKey& key) const {
   (void)::utimensat(AT_FDCWD, path_for(key).c_str(), nullptr, 0);
 }
 
-void FsCacheBackend::ensure_dir_and_manifest() {
+void FsCacheBackend::ensure_dir() const {
   std::error_code ec;
   fs::create_directories(dir_, ec);
-  if (manifest_checked_.exchange(true)) return;
-  const std::string manifest = (fs::path(dir_) / kManifestName).string();
-  if (fs::exists(manifest, ec)) return;
-  // First writer wins; guarded by the cache-wide lock so two processes
-  // initializing one fresh dir don't interleave partial writes.
-  auto lock = FileLock::try_acquire(gc_lock_path());
-  if (!lock.has_value()) return;  // a peer is writing it right now
-  (void)serialize::write_file_atomic(
-      manifest, "nnr-replicate-cache v1\ncell_key_version=" +
-                    std::to_string(kCellKeyVersion) + "\n");
 }
 
 std::optional<core::RunResult> FsCacheBackend::load(const CellKey& key,
@@ -214,7 +203,7 @@ bool FsCacheBackend::store(const CellKey& key, const core::RunResult& result,
 
 bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes,
                                  CacheStats* run) {
-  ensure_dir_and_manifest();
+  ensure_dir();
   if (!serialize::write_file_atomic(path_for(key), bytes)) return false;
   const auto size = static_cast<std::int64_t>(bytes.size());
   {
@@ -236,12 +225,12 @@ bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes,
 }
 
 std::optional<CacheClaim> FsCacheBackend::try_claim(const CellKey& key) {
-  ensure_dir_and_manifest();
+  ensure_dir();
   return wrap_lock(FileLock::try_acquire(lock_path_for(key)));
 }
 
 std::optional<CacheClaim> FsCacheBackend::claim(const CellKey& key) {
-  ensure_dir_and_manifest();
+  ensure_dir();
   return wrap_lock(FileLock::acquire(lock_path_for(key)));
 }
 

@@ -24,8 +24,7 @@
 //          flock, so the key is immediately free — no stale-claim sweeper
 //          is needed for liveness, gc() only tidies the leftover files
 //
-// A cache-wide lock (`gc.lock`) serializes eviction, GC, and the one-time
-// manifest write.
+// A cache-wide lock (`gc.lock`) serializes eviction and GC.
 //
 // Size budget and eviction invariants (NNR_CACHE_BUDGET / --cache-budget,
 // 0 = unlimited): a store that pushes the cache over budget evicts
@@ -35,13 +34,13 @@
 // is therefore the filesystem's timestamp granularity; entries that share a
 // timestamp rank by key. Nothing else is kept for LRU, so a warm replay
 // creates and grows no file. (A cache dir from an older build may still
-// hold the access journal that once ranked LRU; nothing reads or writes it
-// now, and it can be deleted.) An entry whose key lock is currently held
-// (in-flight: being trained, stored, or double-checked) is never evicted;
-// eviction holds the key's lock while unlinking so a concurrent claimant
-// can never watch its entry vanish mid-claim. `gc()` additionally sweeps
-// orphaned `.tmp` files (dead writer pids) and unheld lockfiles — exposed
-// as `nnr_run --cache-gc`.
+// hold the access journal that once ranked LRU, or a `manifest`; nothing
+// reads or writes either now, and both can be deleted.) An entry whose key
+// lock is currently held (in-flight: being trained, stored, or
+// double-checked) is never evicted; eviction holds the key's lock while
+// unlinking so a concurrent claimant can never watch its entry vanish
+// mid-claim. `gc()` additionally sweeps orphaned `.tmp` files (dead writer
+// pids) and unheld lockfiles — exposed as `nnr_run --cache-gc`.
 #pragma once
 
 #include <atomic>
@@ -112,14 +111,13 @@ class FsCacheBackend final : public CacheBackend {
   /// Stamps the entry's mtime with now (best-effort: an entry evicted since
   /// the read just stays gone).
   void touch(const CellKey& key) const;
-  void ensure_dir_and_manifest();
+  void ensure_dir() const;
   void maybe_evict();
   void evict_to_budget_locked(std::int64_t budget, GcStats* gc_stats);
   [[nodiscard]] std::string gc_lock_path() const;
 
   std::string dir_;
   std::int64_t budget_ = 0;
-  std::atomic<bool> manifest_checked_{false};
   /// Running estimate of total entry bytes for the budget pre-check (-1 =
   /// not yet seeded by a scan). Advanced by this process's stores, reset
   /// to the authoritative total on each eviction pass; peers track their

@@ -74,10 +74,7 @@ RemoteCacheBackend::RemoteCacheBackend(const std::string& url,
                          options.reconnect_backoff_max_ms,
                          options.jitter_seed != 0
                              ? options.jitter_seed
-                             : net::default_jitter_seed()),
-      throttle_seed_(options.jitter_seed != 0
-                         ? options.jitter_seed + 1
-                         : net::default_jitter_seed() ^ 0x5452ull) {
+                             : net::default_jitter_seed()) {
   if (!parse_url(url, &host_, &port_)) {
     throw std::invalid_argument(
         "cache url must be tcp://host:port, got '" + url + "'");
@@ -168,31 +165,6 @@ void RemoteCacheBackend::note_go_away_locked(std::uint32_t retry_after_ms) {
 }
 
 std::optional<RemoteCacheBackend::Rpc> RemoteCacheBackend::rpc(
-    Op op, std::string_view body) {
-  // Rate-limited: resend on the same healthy connection after the server's
-  // hint, jittered so N throttled clients don't resend in phase. The I/O
-  // timeout bounds the resends like it bounds a slow answer, so a bogus
-  // hint cannot wedge us; io_mu_ is free while we wait.
-  std::optional<Rpc> reply;
-  net::Backoff throttle(/*base_ms=*/1, /*max_ms=*/1, throttle_seed_);
-  (void)net::retry(
-      throttle, options_.io_timeout_ms, [&](std::int64_t& hint_ms) {
-        reply = round_trip(op, body);
-        if (!reply.has_value() || reply->status != Status::kThrottled) {
-          return true;
-        }
-        std::uint32_t hint = static_cast<std::uint32_t>(
-            std::max(options_.claim_poll_ms, 1));
-        if (reply->body.size() >= sizeof(hint)) {
-          std::memcpy(&hint, reply->body.data(), sizeof(hint));
-        }
-        hint_ms = hint;
-        return false;
-      });
-  return reply;
-}
-
-std::optional<RemoteCacheBackend::Rpc> RemoteCacheBackend::round_trip(
     Op op, std::string_view body) {
   std::lock_guard<std::mutex> lock(io_mu_);
   if (!ensure_connected_locked()) return std::nullopt;

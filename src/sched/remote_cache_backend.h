@@ -29,8 +29,9 @@
 //
 // Thread safety: all operations share one socket serialized by a mutex —
 // pool workers, the heartbeat thread, and claim releases interleave
-// request-by-request. The mutex covers one send and receive, never a
-// throttle wait. A CacheClaim must not outlive its backend.
+// request-by-request. The mutex covers one send and its receive, so a
+// connection never has more than one request in flight. A CacheClaim must
+// not outlive its backend.
 #pragma once
 
 #include <chrono>
@@ -57,8 +58,8 @@ struct RemoteCacheOptions {
   /// Heartbeat renewal on/off. Off is for tests that exercise the
   /// lease-expiry path; production clients always heartbeat.
   bool heartbeat = true;
-  /// Per-operation socket timeout. Also bounds the resends of a kThrottled
-  /// answer; past it the refusal surfaces like any other (miss/failure).
+  /// Per-operation socket timeout (each send, and each window of a
+  /// receive; see io_timeout_retries).
   int io_timeout_ms = 5'000;
   /// A response that is merely late — the receive timed out on a frame
   /// boundary with nothing consumed — is re-awaited up to this many extra
@@ -202,13 +203,10 @@ class RemoteCacheBackend final : public CacheBackend {
     std::string body;  // response body after the status byte
   };
 
-  /// One request/response round-trip, resending a kThrottled answer within
-  /// the I/O timeout (see RemoteCacheOptions::io_timeout_ms). nullopt =
-  /// degraded (no connection, send/recv failure, kGoAway, or protocol
-  /// violation — connection dropped).
+  /// One request/response round-trip: one send and its receive under
+  /// io_mu_. nullopt = degraded (no connection, send/recv failure, kGoAway,
+  /// or protocol violation — connection dropped).
   std::optional<Rpc> rpc(net::Op op, std::string_view body);
-  /// One send and receive under io_mu_; rpc() without the resends.
-  std::optional<Rpc> round_trip(net::Op op, std::string_view body);
   bool ensure_connected_locked();
   void drop_connection_locked();
   /// Records a kGoAway: drop the connection and arm a backoff window of
@@ -234,7 +232,6 @@ class RemoteCacheBackend final : public CacheBackend {
   /// is the jittered wait armed by the LAST failure; 0 = no wait pending.
   net::Backoff reconnect_backoff_;
   std::int64_t current_window_ms_ = 0;
-  std::uint64_t throttle_seed_;  // jitter of the throttle resends
 
   /// One held lease: its key plus the TTL the server actually granted
   /// (post-clamp) — heartbeats pace against the granted TTL, never the

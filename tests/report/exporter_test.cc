@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/table.h"
+#include "test_util.h"
 
 namespace nnr::report {
 namespace {
@@ -31,18 +32,8 @@ std::string slurp(const fs::path& p) {
 
 class ExporterTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_exporter_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path() / "out";
 };
 
 TEST(JsonEscape, PassesPlainText) {

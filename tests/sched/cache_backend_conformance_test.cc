@@ -35,6 +35,8 @@
 #include "sched/fs_cache_backend.h"
 #include "sched/remote_cache_backend.h"
 #include "sched/sharded_cache_backend.h"
+#include "daemon_fixture.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
@@ -60,48 +62,8 @@ void expect_bitwise_equal(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(a.final_train_loss, b.final_train_loss);
 }
 
-RemoteCacheOptions fast_client_options() {
-  RemoteCacheOptions options;
-  options.lease_ttl_ms = 2000;
-  options.io_timeout_ms = 2000;
-  options.connect_timeout_ms = 500;
-  options.reconnect_backoff_ms = 50;
-  options.claim_poll_ms = 10;
-  return options;
-}
-
-/// An in-process daemon on an ephemeral loopback port.
-class ServerHandle {
- public:
-  bool start(const std::string& dir, std::uint16_t port = 0,
-             std::int64_t budget = 0, std::uint32_t max_ttl_ms = 0) {
-    CacheServerConfig config;
-    config.dir = dir;
-    config.port = port;
-    config.budget = budget;
-    if (max_ttl_ms > 0) config.max_ttl_ms = max_ttl_ms;
-    server_ = std::make_unique<CacheServer>(std::move(config));
-    if (!server_->start()) return false;
-    thread_ = std::thread([this] { server_->run(); });
-    return true;
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return server_->port(); }
-
-  void stop() {
-    if (server_ != nullptr) {
-      server_->stop();
-      thread_.join();
-      server_.reset();
-    }
-  }
-
-  ~ServerHandle() { stop(); }
-
- private:
-  std::unique_ptr<CacheServer> server_;
-  std::thread thread_;
-};
+using testutil::fast_options;
+using testutil::ServerHandle;
 
 enum class BackendKind { kFs, kRemote, kSharded2, kSharded3 };
 
@@ -118,12 +80,6 @@ class CacheBackendConformance
     : public ::testing::TestWithParam<BackendKind> {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_conformance_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
     if (GetParam() == BackendKind::kRemote) {
       ASSERT_TRUE(server_.start(dir_.string()));
     }
@@ -136,13 +92,6 @@ class CacheBackendConformance
     ASSERT_NE(backend_, nullptr);
   }
 
-  void TearDown() override {
-    backend_.reset();
-    server_.stop();
-    shard_servers_.clear();
-    fs::remove_all(dir_);
-  }
-
   [[nodiscard]] fs::path shard_dir(int index) const {
     return dir_ / ("shard" + std::to_string(index));
   }
@@ -150,9 +99,7 @@ class CacheBackendConformance
   [[nodiscard]] std::vector<std::string> shard_urls() const {
     std::vector<std::string> urls;
     urls.reserve(shard_servers_.size());
-    for (const auto& shard : shard_servers_) {
-      urls.push_back("tcp://127.0.0.1:" + std::to_string(shard->port()));
-    }
+    for (const auto& shard : shard_servers_) urls.push_back(shard->url());
     return urls;
   }
 
@@ -163,11 +110,10 @@ class CacheBackendConformance
       return std::make_unique<FsCacheBackend>(dir_.string());
     }
     if (GetParam() == BackendKind::kRemote) {
-      return std::make_unique<RemoteCacheBackend>(
-          "tcp://127.0.0.1:" + std::to_string(server_.port()),
-          fast_client_options());
+      return std::make_unique<RemoteCacheBackend>(server_.url(),
+                                                  fast_options());
     }
-    RemoteCacheOptions options = fast_client_options();
+    RemoteCacheOptions options = fast_options();
     options.jitter_seed = 0x5EED;  // pinned: reproducible backoff schedule
     return std::make_unique<ShardedCacheBackend>(shard_urls(), options);
   }
@@ -189,7 +135,8 @@ class CacheBackendConformance
         .path_for(key);
   }
 
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path() / "cache";
   ServerHandle server_;
   std::vector<std::unique_ptr<ServerHandle>> shard_servers_;
   std::unique_ptr<CacheBackend> backend_;
@@ -357,24 +304,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, CacheBackendConformance,
 
 class RemoteCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_remote_" + std::string(::testing::UnitTest::GetInstance()
-                                            ->current_test_info()
-                                            ->name()));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override {
-    server_.stop();
-    fs::remove_all(dir_);
-  }
-
   std::unique_ptr<RemoteCacheBackend> client(RemoteCacheOptions options) {
-    return std::make_unique<RemoteCacheBackend>(
-        "tcp://127.0.0.1:" + std::to_string(server_.port()), options);
+    return std::make_unique<RemoteCacheBackend>(server_.url(), options);
   }
 
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path() / "cache";
   ServerHandle server_;
 };
 
@@ -398,11 +333,11 @@ TEST(RemoteUrlTest, ParseUrlAcceptsOnlyTcpHostPort) {
 
 TEST_F(RemoteCacheTest, LeaseExpiresWithoutHeartbeat) {
   ASSERT_TRUE(server_.start(dir_.string()));
-  RemoteCacheOptions no_heartbeat = fast_client_options();
+  RemoteCacheOptions no_heartbeat = fast_options();
   no_heartbeat.heartbeat = false;
   no_heartbeat.lease_ttl_ms = 300;
   auto holder = client(no_heartbeat);
-  auto peer = client(fast_client_options());
+  auto peer = client(fast_options());
 
   const CellKey key{9, 9};
   auto claim = holder->try_claim(key);
@@ -427,10 +362,10 @@ TEST_F(RemoteCacheTest, LeaseExpiresWithoutHeartbeat) {
 
 TEST_F(RemoteCacheTest, HeartbeatKeepsLeaseAliveBeyondTtl) {
   ASSERT_TRUE(server_.start(dir_.string()));
-  RemoteCacheOptions short_ttl = fast_client_options();
+  RemoteCacheOptions short_ttl = fast_options();
   short_ttl.lease_ttl_ms = 300;  // heartbeats every ~100ms
   auto holder = client(short_ttl);
-  auto peer = client(fast_client_options());
+  auto peer = client(fast_options());
 
   const CellKey key{10, 10};
   auto claim = holder->try_claim(key);
@@ -445,12 +380,14 @@ TEST_F(RemoteCacheTest, HeartbeatPacesAgainstTheGrantedTtlNotTheRequest) {
   // Server clamps every lease to 300ms; the client asks for 60s. If the
   // client paced heartbeats off its request (20s), the lease would expire
   // silently mid-claim — it must pace off the granted TTL instead.
-  ASSERT_TRUE(server_.start(dir_.string(), /*port=*/0, /*budget=*/0,
-                            /*max_ttl_ms=*/300));
-  RemoteCacheOptions greedy = fast_client_options();
+  CacheServerConfig config;
+  config.dir = dir_.string();
+  config.max_ttl_ms = 300;
+  ASSERT_TRUE(server_.start(std::move(config)));
+  RemoteCacheOptions greedy = fast_options();
   greedy.lease_ttl_ms = 60'000;
   auto holder = client(greedy);
-  auto peer = client(fast_client_options());
+  auto peer = client(fast_options());
 
   const CellKey key{13, 13};
   auto claim = holder->try_claim(key);
@@ -463,8 +400,8 @@ TEST_F(RemoteCacheTest, HeartbeatPacesAgainstTheGrantedTtlNotTheRequest) {
 
 TEST_F(RemoteCacheTest, DisconnectReleasesLeases) {
   ASSERT_TRUE(server_.start(dir_.string()));
-  auto holder = client(fast_client_options());
-  auto peer = client(fast_client_options());
+  auto holder = client(fast_options());
+  auto peer = client(fast_options());
 
   const CellKey key{11, 11};
   auto claim = holder->try_claim(key);
@@ -531,7 +468,7 @@ TEST_F(RemoteCacheTest, SigkilledClientsClaimBecomesClaimable) {
     for (;;) ::pause();
   }
 
-  auto peer = client(fast_client_options());
+  auto peer = client(fast_options());
   // Wait until the child's claim is visible (each probe that succeeds is
   // released immediately, giving the child its window).
   const auto start = Clock::now();
@@ -574,7 +511,7 @@ TEST_F(RemoteCacheTest, UnreachableDaemonDegradesToRecompute) {
     ASSERT_TRUE(listener.listen_on("127.0.0.1", 0));
     dead_port = listener.port();
   }
-  RemoteCacheOptions options = fast_client_options();
+  RemoteCacheOptions options = fast_options();
   RemoteCacheBackend backend("tcp://127.0.0.1:" + std::to_string(dead_port),
                              options);
   CacheStats run;
@@ -596,7 +533,7 @@ TEST_F(RemoteCacheTest, UnreachableDaemonDegradesToRecompute) {
 TEST_F(RemoteCacheTest, ReconnectsAfterDaemonRestart) {
   ASSERT_TRUE(server_.start(dir_.string()));
   const std::uint16_t port = server_.port();
-  auto backend = client(fast_client_options());
+  auto backend = client(fast_options());
   const CellKey key{3, 3};
   ASSERT_TRUE(backend->store(key, sample_result()));
   ASSERT_TRUE(backend->load(key).has_value());
@@ -646,7 +583,7 @@ TEST_F(RemoteCacheTest, DaemonRejectsInvalidPutPayload) {
 
 TEST_F(RemoteCacheTest, RemoteGcSweepsOrphansInTheDaemonDir) {
   ASSERT_TRUE(server_.start(dir_.string()));
-  auto backend = client(fast_client_options());
+  auto backend = client(fast_options());
   ASSERT_TRUE(backend->store({5, 5}, sample_result()));
   const fs::path orphan =
       dir_ / "0123456789abcdef0123456789abcdef.rr.tmp99999999.1";

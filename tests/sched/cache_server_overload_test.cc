@@ -1,17 +1,15 @@
 // Daemon self-protection: the connection cap (excess accepts answered with
 // one kGoAway carrying kBusy + a retry hint, then closed), the idle
-// deadline (a slow-loris client is evicted while a chatty one is not), the
-// per-connection token bucket (over-rate requests answered kThrottled with
-// the connection surviving — and a throttle-honoring client that never
-// notices, nor blocks its other threads while it waits), and graceful
-// shutdown (leases released, fleet queue persisted, a restarted daemon
-// resumes the wave).
+// deadline (a slow-loris client is evicted while a chatty one is not),
+// pipelined requests on one connection (all served, in order, with no
+// protection tripped), and graceful shutdown (leases released, fleet queue
+// persisted, a restarted daemon resumes the wave).
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,70 +18,36 @@
 #include "sched/cache_server.h"
 #include "sched/fleet_queue.h"
 #include "sched/remote_cache_backend.h"
+#include "daemon_fixture.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
-
-RemoteCacheOptions fast_options() {
-  RemoteCacheOptions options;
-  options.lease_ttl_ms = 2000;
-  options.io_timeout_ms = 2000;
-  options.connect_timeout_ms = 500;
-  options.reconnect_backoff_ms = 50;
-  options.claim_poll_ms = 10;
-  options.jitter_seed = 7;
-  return options;
-}
 
 /// In-process daemon with an arbitrary overload config.
 class OverloadServerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_overload_" + std::string(::testing::UnitTest::GetInstance()
-                                              ->current_test_info()
-                                              ->name()));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override {
-    stop();
-    fs::remove_all(dir_);
-  }
-
   void start(CacheServerConfig config) {
-    config.dir = dir_.string();
-    server_ = std::make_unique<CacheServer>(std::move(config));
-    ASSERT_TRUE(server_->start());
-    thread_ = std::thread([this] { server_->run(); });
+    config.dir = tmp_.path().string();
+    ASSERT_TRUE(daemon_.start(std::move(config)));
   }
 
-  void stop() {
-    if (server_ != nullptr) {
-      server_->stop();
-      thread_.join();
-      server_.reset();
-    }
-  }
-
-  std::unique_ptr<RemoteCacheBackend> client(
-      RemoteCacheOptions options = fast_options()) {
-    return std::make_unique<RemoteCacheBackend>(
-        "tcp://127.0.0.1:" + std::to_string(server_->port()), options);
+  std::unique_ptr<RemoteCacheBackend> client() {
+    return std::make_unique<RemoteCacheBackend>(daemon_.url(),
+                                                testutil::fast_options());
   }
 
   net::Socket raw_conn(int io_timeout_ms = 2000) {
     net::Socket sock =
-        net::connect_tcp("127.0.0.1", server_->port(), 1000, io_timeout_ms);
+        net::connect_tcp("127.0.0.1", daemon_.port(), 1000, io_timeout_ms);
     EXPECT_TRUE(sock.valid());
     return sock;
   }
 
-  fs::path dir_;
-  std::unique_ptr<CacheServer> server_;
-  std::thread thread_;
+  testutil::TempDir tmp_;
+  testutil::ServerHandle daemon_;
 };
 
 std::vector<FleetWorkItem> grid(std::uint64_t count) {
@@ -126,7 +90,7 @@ TEST_F(OverloadServerTest, ConnectionCapAnswersGoAwayBusyThenCloses) {
   EXPECT_GT(r.get<std::uint32_t>(), 0u) << "retry hint must be usable";
   char byte = 0;
   EXPECT_EQ(excess.recv_exact(&byte, 1), net::IoStatus::kClosed);
-  EXPECT_GE(server_->overload_counters().rejected_busy, 1);
+  EXPECT_GE(daemon_.server().overload_counters().rejected_busy, 1);
 
   // Capacity is by live connections, not a lifetime count: close one and
   // the next accept succeeds.
@@ -173,108 +137,53 @@ TEST_F(OverloadServerTest, SlowLorisIsEvictedWhileChattyClientsSurvive) {
   }
   EXPECT_TRUE(evicted) << "a silent connection must be evicted by the "
                           "idle deadline";
-  EXPECT_GE(server_->overload_counters().idle_evicted, 1);
+  EXPECT_GE(daemon_.server().overload_counters().idle_evicted, 1);
   EXPECT_TRUE(healthy->ping());
 }
 
-TEST_F(OverloadServerTest, OverRateClientIsThrottledWithARetryHint) {
-  CacheServerConfig config;
-  config.max_rps = 2.0;
-  config.burst = 1.0;
-  start(std::move(config));
+TEST_F(OverloadServerTest, PipelinedRequestsAreAllServedInOrder) {
+  start(CacheServerConfig{});
 
-  net::Socket greedy = raw_conn();
-  // First request spends the single token...
-  ASSERT_TRUE(
-      net::send_frame(greedy, static_cast<std::uint8_t>(net::Op::kPing), ""));
-  auto reply = net::recv_frame(greedy);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kOk);
-
-  // ...the immediate second is refused, connection intact, hint attached.
-  ASSERT_TRUE(
-      net::send_frame(greedy, static_cast<std::uint8_t>(net::Op::kPing), ""));
-  reply = net::recv_frame(greedy);
-  ASSERT_TRUE(reply.has_value()) << "throttling must answer, not drop";
-  EXPECT_EQ(reply->opcode, static_cast<std::uint8_t>(net::Op::kPing))
-      << "the refusal echoes the request opcode";
-  net::BodyReader r(reply->body);
-  EXPECT_EQ(static_cast<net::Status>(r.get<std::uint8_t>()),
-            net::Status::kThrottled);
-  const std::uint32_t hint_ms = r.get<std::uint32_t>();
-  EXPECT_GT(hint_ms, 0u);
-  EXPECT_LE(hint_ms, 60'000u);
-  EXPECT_GE(server_->overload_counters().throttled, 1);
-
-  // A different connection has its own bucket: the greedy client cannot
-  // starve a neighbor.
-  net::Socket neighbor = raw_conn();
-  ASSERT_TRUE(net::send_frame(neighbor,
-                              static_cast<std::uint8_t>(net::Op::kPing), ""));
-  const auto ok = net::recv_frame(neighbor);
-  ASSERT_TRUE(ok.has_value());
-  ASSERT_FALSE(ok->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(ok->body[0]), net::Status::kOk);
-
-  // And the greedy connection survives: after the hint, a token exists.
-  std::this_thread::sleep_for(std::chrono::milliseconds(hint_ms + 100));
-  ASSERT_TRUE(
-      net::send_frame(greedy, static_cast<std::uint8_t>(net::Op::kPing), ""));
-  reply = net::recv_frame(greedy);
-  ASSERT_TRUE(reply.has_value()) << "the throttled connection must survive";
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kOk);
-}
-
-TEST_F(OverloadServerTest, ThrottleHonoringBackendSucceedsTransparently) {
-  CacheServerConfig config;
-  config.max_rps = 10.0;
-  config.burst = 1.0;
-  start(std::move(config));
-
-  auto backend = client();
-  // Back-to-back operations overrun burst=1 constantly; the backend's
-  // internal sleep-the-hint-and-resend loop must absorb every refusal.
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_TRUE(backend->ping()) << "op " << i;
+  // One write carrying 256 frames, alternating PING and a GET for a key
+  // nobody stored: the daemon must answer every one, in request order.
+  constexpr int kFrames = 256;
+  net::BodyWriter get_body;
+  get_body.put(std::uint64_t{0xAB5E});
+  get_body.put(std::uint64_t{0x0E17});
+  const std::string absent_get = get_body.take();
+  std::string batch;
+  for (int i = 0; i < kFrames; ++i) {
+    batch += i % 2 == 0
+                 ? net::encode_frame(static_cast<std::uint8_t>(net::Op::kPing),
+                                     "")
+                 : net::encode_frame(static_cast<std::uint8_t>(net::Op::kGet),
+                                     absent_get);
   }
-  EXPECT_GE(server_->overload_counters().throttled, 1)
-      << "the test must actually have been throttled to prove anything";
-}
+  net::Socket sock = raw_conn();
+  ASSERT_EQ(sock.send_all(batch.data(), batch.size()), net::IoStatus::kOk);
 
-TEST_F(OverloadServerTest, ThrottleWaitLeavesTheClientFreeForOtherThreads) {
-  // One token per second: after the first ping spends it, the next request
-  // is throttled with a hint of about 1 s.
-  CacheServerConfig config;
-  config.max_rps = 1.0;
-  config.burst = 1.0;
-  start(std::move(config));
-
-  auto backend = client();
-  ASSERT_TRUE(backend->ping());
-  std::thread throttled([&] { (void)backend->ping(); });
-  const auto deadline = Clock::now() + std::chrono::seconds(5);
-  while (server_->overload_counters().throttled < 1 &&
-         Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int i = 0; i < kFrames; ++i) {
+    const bool ping = i % 2 == 0;
+    const auto reply = net::recv_frame(sock);
+    ASSERT_TRUE(reply.has_value()) << "answer " << i << " never came";
+    ASSERT_EQ(reply->opcode,
+              static_cast<std::uint8_t>(ping ? net::Op::kPing : net::Op::kGet))
+        << "answer " << i << " is out of order";
+    ASSERT_FALSE(reply->body.empty());
+    EXPECT_EQ(static_cast<net::Status>(reply->body[0]),
+              ping ? net::Status::kOk : net::Status::kMiss)
+        << "answer " << i;
   }
-  ASSERT_GE(server_->overload_counters().throttled, 1);
 
-  // The throttled thread is now waiting out the hint. Every other thread
-  // on the client (pool workers, the heartbeat) must still get through.
-  const auto asked = Clock::now();
-  EXPECT_TRUE(backend->connected());
-  EXPECT_LT(Clock::now() - asked, std::chrono::milliseconds(100))
-      << "the throttle wait must not hold the client's socket lock";
-  throttled.join();
+  EXPECT_TRUE(client()->ping()) << "the daemon must still serve a new client";
+  const auto counters = daemon_.server().overload_counters();
+  EXPECT_EQ(counters.rejected_busy, 0);
+  EXPECT_EQ(counters.idle_evicted, 0);
 }
 
 TEST_F(OverloadServerTest, GracefulStopPersistsQueueAndRestartResumesWave) {
-  CacheServerConfig config;
-  config.drain_timeout_ms = 2000;
-  start(std::move(config));
-  const std::uint16_t port = server_->port();
+  start(CacheServerConfig{});
+  const std::uint16_t port = daemon_.port();
 
   auto backend = client();
   ASSERT_TRUE(backend->fleet_submit(grid(3)).has_value());
@@ -284,7 +193,7 @@ TEST_F(OverloadServerTest, GracefulStopPersistsQueueAndRestartResumesWave) {
 
   // stop() is the SIGTERM path: drain, release leases (the in-flight cell
   // requeues), persist the snapshot.
-  stop();
+  daemon_.stop();
 
   CacheServerConfig again;
   again.port = port;

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,15 +29,15 @@
 
 #include "core/trainer.h"
 #include "net/fault_injector.h"
-#include "sched/cache_server.h"
 #include "sched/fleet_client.h"
 #include "sched/fleet_queue.h"
 #include "sched/remote_cache_backend.h"
+#include "daemon_fixture.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 /// The fault-plan matrix. Probabilities are modest on purpose: the goal is
@@ -106,39 +105,15 @@ RemoteCacheOptions chaos_options(std::uint64_t jitter_seed) {
 
 class ChaosFleetTest : public ::testing::TestWithParam<const char*> {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string name = info->name();  // e.g. "FleetDrains.../plan0"
-    for (char& c : name) {
-      if (c == '/') c = '_';
-    }
-    dir_ = fs::temp_directory_path() / ("nnr_chaos_" + name);
-    fs::remove_all(dir_);
-    CacheServerConfig config;
-    config.dir = dir_.string();
-    server_ = std::make_unique<CacheServer>(std::move(config));
-    ASSERT_TRUE(server_->start());
-    thread_ = std::thread([this] { server_->run(); });
-  }
-
-  void TearDown() override {
-    if (server_ != nullptr) {
-      server_->stop();
-      thread_.join();
-      server_.reset();
-    }
-    fs::remove_all(dir_);
-  }
+  void SetUp() override { ASSERT_TRUE(daemon_.start(tmp_.path().string())); }
 
   std::unique_ptr<RemoteCacheBackend> client(std::uint64_t jitter_seed) {
-    return std::make_unique<RemoteCacheBackend>(
-        "tcp://127.0.0.1:" + std::to_string(server_->port()),
-        chaos_options(jitter_seed));
+    return std::make_unique<RemoteCacheBackend>(daemon_.url(),
+                                                chaos_options(jitter_seed));
   }
 
-  fs::path dir_;
-  std::unique_ptr<CacheServer> server_;
-  std::thread thread_;
+  testutil::TempDir tmp_;
+  testutil::ServerHandle daemon_;
 };
 
 TEST_P(ChaosFleetTest, FleetDrainsExactlyOnceWithIdenticalBytes) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace nnr::sched {
 namespace {
 
@@ -18,20 +20,9 @@ namespace fs = std::filesystem;
 
 class FileLockTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_lock_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    path_ = (dir_ / "key.lock").string();
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
-  std::string path_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path();
+  const std::string path_ = (dir_ / "key.lock").string();
 };
 
 TEST_F(FileLockTest, SecondAcquisitionConflictsUntilRelease) {

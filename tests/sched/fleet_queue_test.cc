@@ -4,17 +4,16 @@
 // items to pending and keep done ones.
 #include "sched/fleet_queue.h"
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace nnr::sched {
 namespace {
-
-namespace fs = std::filesystem;
 
 FleetWorkItem item(std::uint64_t n, const std::string& study = "fig2") {
   FleetWorkItem it;
@@ -159,11 +158,8 @@ TEST(FleetQueueTest, SubmitOntoDrainedQueueStartsAFreshWave) {
 }
 
 TEST(FleetQueueTest, SnapshotRoundTripsAcrossRestart) {
-  const fs::path dir =
-      fs::temp_directory_path() / "nnr_fleet_queue_snapshot_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string snap = (dir / "fleet_queue.nnrq").string();
+  const testutil::TempDir dir;
+  const std::string snap = (dir.path() / "fleet_queue.nnrq").string();
 
   {
     FleetQueue q(snap);
@@ -188,15 +184,11 @@ TEST(FleetQueueTest, SnapshotRoundTripsAcrossRestart) {
   const auto fetched = restored.fetch_next(kAlwaysAvailable);
   ASSERT_TRUE(fetched.has_value());
   EXPECT_EQ(fetched->study, "fig2");
-  fs::remove_all(dir);
 }
 
 TEST(FleetQueueTest, CorruptSnapshotIsDiscardedNotFatal) {
-  const fs::path dir =
-      fs::temp_directory_path() / "nnr_fleet_queue_corrupt_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string snap = (dir / "fleet_queue.nnrq").string();
+  const testutil::TempDir dir;
+  const std::string snap = (dir.path() / "fleet_queue.nnrq").string();
   {
     FleetQueue q(snap);
     q.submit(items(2), kNoEntry);
@@ -212,7 +204,6 @@ TEST(FleetQueueTest, CorruptSnapshotIsDiscardedNotFatal) {
   EXPECT_EQ(restored.total(), 0u)
       << "a corrupt snapshot degrades to an empty queue (resubmission), "
          "never a wedged daemon";
-  fs::remove_all(dir);
 }
 
 TEST(FleetQueueTest, EmptyPathDisablesPersistence) {

@@ -22,6 +22,8 @@
 #include "sched/cache_server.h"
 #include "sched/fleet_queue.h"
 #include "sched/remote_cache_backend.h"
+#include "daemon_fixture.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
@@ -39,52 +41,8 @@ core::RunResult sample_result() {
   return r;
 }
 
-RemoteCacheOptions fast_options() {
-  RemoteCacheOptions options;
-  options.lease_ttl_ms = 2000;
-  options.io_timeout_ms = 2000;
-  options.connect_timeout_ms = 500;
-  options.reconnect_backoff_ms = 50;
-  options.claim_poll_ms = 10;
-  return options;
-}
-
-/// An in-process daemon on an ephemeral loopback port.
-class ServerHandle {
- public:
-  bool start(const std::string& dir, std::uint16_t port = 0) {
-    CacheServerConfig config;
-    config.dir = dir;
-    config.port = port;
-    return start(std::move(config));
-  }
-
-  /// Full-config start for the overload/chaos tests.
-  bool start(CacheServerConfig config) {
-    server_ = std::make_unique<CacheServer>(std::move(config));
-    if (!server_->start()) return false;
-    thread_ = std::thread([this] { server_->run(); });
-    return true;
-  }
-
-  [[nodiscard]] CacheServer& server() { return *server_; }
-
-  [[nodiscard]] std::uint16_t port() const { return server_->port(); }
-
-  void stop() {
-    if (server_ != nullptr) {
-      server_->stop();
-      thread_.join();
-      server_.reset();
-    }
-  }
-
-  ~ServerHandle() { stop(); }
-
- private:
-  std::unique_ptr<CacheServer> server_;
-  std::thread thread_;
-};
+using testutil::fast_options;
+using testutil::ServerHandle;
 
 std::vector<FleetWorkItem> grid(std::uint64_t count) {
   std::vector<FleetWorkItem> out;
@@ -101,23 +59,11 @@ std::vector<FleetWorkItem> grid(std::uint64_t count) {
 
 class FleetServerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_fleet_" + std::string(::testing::UnitTest::GetInstance()
-                                           ->current_test_info()
-                                           ->name()));
-    fs::remove_all(dir_);
-    ASSERT_TRUE(server_.start(dir_.string()));
-  }
-  void TearDown() override {
-    server_.stop();
-    fs::remove_all(dir_);
-  }
+  void SetUp() override { ASSERT_TRUE(server_.start(dir_.string())); }
 
   std::unique_ptr<RemoteCacheBackend> client(
       RemoteCacheOptions options = fast_options()) {
-    return std::make_unique<RemoteCacheBackend>(
-        "tcp://127.0.0.1:" + std::to_string(server_.port()), options);
+    return std::make_unique<RemoteCacheBackend>(server_.url(), options);
   }
 
   net::Socket raw_conn() {
@@ -127,7 +73,8 @@ class FleetServerTest : public ::testing::Test {
     return sock;
   }
 
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path() / "cache";
   ServerHandle server_;
 };
 
@@ -455,7 +402,6 @@ TEST_F(FleetServerTest, SubmitDuringDrainIsRefusedWithBusyNotEnqueued) {
   CacheServerConfig config;
   config.dir = dir_.string();
   config.port = 0;
-  config.busy_retry_ms = 1234;
   CacheServer server(std::move(config));
   ASSERT_TRUE(server.start());
 
@@ -486,7 +432,7 @@ TEST_F(FleetServerTest, SubmitDuringDrainIsRefusedWithBusyNotEnqueued) {
   net::BodyReader r(reply->body);
   EXPECT_EQ(static_cast<net::Status>(r.get<std::uint8_t>()),
             net::Status::kBusy);
-  EXPECT_EQ(r.get<std::uint32_t>(), 1234u) << "retry hint = busy_retry_ms";
+  EXPECT_EQ(r.get<std::uint32_t>(), CacheServer::kBusyRetryMs);
 
   // Nothing was enqueued: the queue snapshot a restarted daemon loads from
   // the same directory is empty.

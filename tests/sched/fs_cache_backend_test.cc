@@ -24,6 +24,7 @@
 #include "sched/cache_backend.h"
 #include "sched/sharded_cache_backend.h"
 #include "serialize/atomic_file.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
@@ -78,17 +79,8 @@ std::uintmax_t non_entry_bytes(const fs::path& dir) {
 
 class FsCacheBackendTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_cache_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path() / "cache";
 };
 
 TEST_F(FsCacheBackendTest, EmptyDirIsRejected) {
@@ -360,6 +352,17 @@ TEST_F(FsCacheBackendTest, HitsRefreshRecencyAndGrowNothing) {
   EXPECT_EQ(file_names(dir_), names) << "hits must create no file";
   EXPECT_LT(non_entry_bytes(dir_), 1024u)
       << "101 hits must not grow any bookkeeping file";
+}
+
+TEST_F(FsCacheBackendTest, FreshDirHoldsOnlyEntryAndKeyLock) {
+  // A store and a claim on a fresh directory leave the entry and the key's
+  // lockfile, and nothing else: no manifest, no cache-wide gc.lock.
+  FsCacheBackend cache(dir_.string());
+  const CellKey key{43, 44};
+  ASSERT_TRUE(cache.store(key, sample_result()));
+  ASSERT_TRUE(cache.try_claim(key).has_value());
+  EXPECT_EQ(file_names(dir_),
+            (std::vector<std::string>{key.hex() + ".lock", key.hex() + ".rr"}));
 }
 
 TEST_F(FsCacheBackendEvictionTest, UnlimitedBudgetNeverEvicts) {

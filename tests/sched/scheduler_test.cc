@@ -21,6 +21,7 @@
 #include "nn/zoo.h"
 #include "sched/cell_key.h"
 #include "sched/fs_cache_backend.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
@@ -45,16 +46,6 @@ class SchedulerTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  void SetUp() override {
-    cache_dir_ = fs::temp_directory_path() /
-                 ("nnr_sched_test_" +
-                  std::string(::testing::UnitTest::GetInstance()
-                                  ->current_test_info()
-                                  ->name()));
-    fs::remove_all(cache_dir_);
-  }
-  void TearDown() override { fs::remove_all(cache_dir_); }
-
   static core::Task tiny_task() {
     core::Task task;
     task.name = "tiny";
@@ -73,7 +64,8 @@ class SchedulerTest : public ::testing::Test {
     return plan;
   }
 
-  fs::path cache_dir_;
+  testutil::TempDir tmp_;
+  const fs::path cache_dir_ = tmp_.path() / "cache";
   static data::ClassificationDataset* dataset_;
 };
 

@@ -26,10 +26,11 @@
 
 #include <gtest/gtest.h>
 
-#include "sched/cache_server.h"
 #include "sched/fs_cache_backend.h"
 #include "sched/remote_cache_backend.h"
 #include "sched/sharded_cache_backend.h"
+#include "daemon_fixture.h"
+#include "test_util.h"
 
 namespace nnr::sched {
 namespace {
@@ -176,52 +177,10 @@ TEST(ShardedConstructionTest, RejectsEmptyDuplicateAndMalformedMaps) {
 // Tier 2: composite behavior against in-process shard daemons.
 // ---------------------------------------------------------------------------
 
-/// An in-process daemon on an ephemeral loopback port (same shape as the
-/// conformance suite's helper; separate TU, separate copy).
-class ServerHandle {
- public:
-  bool start(const std::string& dir, std::uint16_t port = 0) {
-    CacheServerConfig config;
-    config.dir = dir;
-    config.port = port;
-    server_ = std::make_unique<CacheServer>(std::move(config));
-    if (!server_->start()) return false;
-    thread_ = std::thread([this] { server_->run(); });
-    return true;
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return server_->port(); }
-
-  void stop() {
-    if (server_ != nullptr) {
-      server_->stop();
-      thread_.join();
-      server_.reset();
-    }
-  }
-
-  ~ServerHandle() { stop(); }
-
- private:
-  std::unique_ptr<CacheServer> server_;
-  std::thread thread_;
-};
+using testutil::ServerHandle;
 
 class ShardedCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_sharded_" + std::string(::testing::UnitTest::GetInstance()
-                                             ->current_test_info()
-                                             ->name()));
-    fs::remove_all(dir_);
-  }
-
-  void TearDown() override {
-    for (auto& shard : shards_) shard->stop();
-    shards_.clear();
-    fs::remove_all(dir_);
-  }
 
   void start_shards(int count) {
     for (int i = 0; i < count; ++i) {
@@ -237,9 +196,7 @@ class ShardedCacheTest : public ::testing::Test {
 
   [[nodiscard]] std::vector<std::string> urls() const {
     std::vector<std::string> out;
-    for (const auto& shard : shards_) {
-      out.push_back("tcp://127.0.0.1:" + std::to_string(shard->port()));
-    }
+    for (const auto& shard : shards_) out.push_back(shard->url());
     return out;
   }
 
@@ -248,13 +205,9 @@ class ShardedCacheTest : public ::testing::Test {
   /// inside a test) or short (revival tests poll across it).
   std::unique_ptr<ShardedCacheBackend> make_backend(
       int reconnect_backoff_ms = 60'000) {
-    RemoteCacheOptions options;
-    options.lease_ttl_ms = 2000;
-    options.io_timeout_ms = 2000;
-    options.connect_timeout_ms = 500;
+    RemoteCacheOptions options = testutil::fast_options();
     options.reconnect_backoff_ms = reconnect_backoff_ms;
     options.reconnect_backoff_max_ms = std::max(reconnect_backoff_ms, 60'000);
-    options.claim_poll_ms = 10;
     options.jitter_seed = 0x5EED;
     return std::make_unique<ShardedCacheBackend>(urls(), options);
   }
@@ -270,7 +223,8 @@ class ShardedCacheTest : public ::testing::Test {
     return CellKey{0, 0};
   }
 
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path();
   std::vector<std::unique_ptr<ServerHandle>> shards_;
 };
 

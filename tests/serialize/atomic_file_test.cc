@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace nnr::serialize {
 namespace {
 
@@ -19,17 +21,8 @@ namespace fs = std::filesystem;
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("nnr_atomic_file_" + std::string(::testing::UnitTest::GetInstance()
-                                                 ->current_test_info()
-                                                 ->name()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  testutil::TempDir tmp_;
+  const fs::path dir_ = tmp_.path();
 };
 
 std::string read_all(const fs::path& path) {

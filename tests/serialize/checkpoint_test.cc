@@ -2,7 +2,6 @@
 // detection, atomic replacement (a failed save keeps the previous file), and
 // the resume-determinism property (save -> load -> continue == uninterrupted
 // run under deterministic execution).
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -26,23 +25,21 @@ using tensor::Tensor;
 using testutil::deterministic_context;
 using testutil::fill_random;
 
-std::string temp_path(const std::string& stem) {
-  return (std::filesystem::temp_directory_path() / stem).string();
-}
-
-/// RAII cleanup for checkpoint files created by tests.
+/// A file name inside a private temp directory that is removed, with
+/// everything the test wrote next to the file, on destruction.
 class ScopedFile {
  public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
+  explicit ScopedFile(const std::string& name)
+      : path_((dir_.path() / name).string()) {}
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  testutil::TempDir dir_;
   std::string path_;
 };
 
 TEST(Checkpoint, RoundTripIsBitwiseLossless) {
-  ScopedFile file(temp_path("ckpt_roundtrip.nnr"));
+  ScopedFile file("ckpt_roundtrip.nnr");
   Model m = nn::small_cnn(10, /*with_batchnorm=*/true);
   rng::Generator init(3);
   m.init_weights(init);
@@ -63,7 +60,7 @@ TEST(Checkpoint, RoundTripIsBitwiseLossless) {
 }
 
 TEST(Checkpoint, RestoresBatchNormRunningStatistics) {
-  ScopedFile file(temp_path("ckpt_bnstats.nnr"));
+  ScopedFile file("ckpt_bnstats.nnr");
   Model m = nn::small_cnn(10, true);
   rng::Generator init(5);
   m.init_weights(init);
@@ -98,7 +95,7 @@ TEST(Checkpoint, RestoresBatchNormRunningStatistics) {
 }
 
 TEST(Checkpoint, ResNetWithProjectionsRoundTrips) {
-  ScopedFile file(temp_path("ckpt_resnet.nnr"));
+  ScopedFile file("ckpt_resnet.nnr");
   Model m = nn::resnet18s(10);
   rng::Generator init(11);
   m.init_weights(init);
@@ -116,7 +113,7 @@ TEST(Checkpoint, ResNetWithProjectionsRoundTrips) {
 }
 
 TEST(Checkpoint, RejectsStructureMismatch) {
-  ScopedFile file(temp_path("ckpt_mismatch.nnr"));
+  ScopedFile file("ckpt_mismatch.nnr");
   Model m = nn::small_cnn(10, true);
   rng::Generator init(13);
   m.init_weights(init);
@@ -130,7 +127,7 @@ TEST(Checkpoint, RejectsStructureMismatch) {
 }
 
 TEST(Checkpoint, DetectsBitFlipCorruption) {
-  ScopedFile file(temp_path("ckpt_corrupt.nnr"));
+  ScopedFile file("ckpt_corrupt.nnr");
   Model m = nn::small_cnn(10, false);
   rng::Generator init(17);
   m.init_weights(init);
@@ -155,7 +152,7 @@ TEST(Checkpoint, DetectsBitFlipCorruption) {
 }
 
 TEST(Checkpoint, RejectsNonCheckpointFile) {
-  ScopedFile file(temp_path("ckpt_garbage.nnr"));
+  ScopedFile file("ckpt_garbage.nnr");
   std::ofstream(file.path()) << "definitely not a checkpoint";
   Model m = nn::small_cnn(10, false);
   EXPECT_THROW(load_model(file.path(), m), CheckpointError);
@@ -163,12 +160,12 @@ TEST(Checkpoint, RejectsNonCheckpointFile) {
 
 TEST(Checkpoint, MissingFileThrows) {
   Model m = nn::small_cnn(10, false);
-  EXPECT_THROW(load_model(temp_path("ckpt_does_not_exist.nnr"), m),
-               CheckpointError);
+  const ScopedFile missing("ckpt_does_not_exist.nnr");
+  EXPECT_THROW(load_model(missing.path(), m), CheckpointError);
 }
 
 TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
-  ScopedFile file(temp_path("ckpt_failed_save.nnr"));
+  ScopedFile file("ckpt_failed_save.nnr");
   Model a = nn::small_cnn(10, false);
   rng::Generator init_a(19);
   a.init_weights(init_a);
@@ -202,7 +199,7 @@ TEST(Checkpoint, EntryCountCoversParamsAndBuffers) {
 TEST(Checkpoint, ResumeEqualsUninterruptedTraining) {
   // Train 4 steps straight vs train 2, checkpoint, reload, train 2 more —
   // bitwise identical weights under deterministic execution.
-  ScopedFile file(temp_path("ckpt_resume.nnr"));
+  ScopedFile file("ckpt_resume.nnr");
   Tensor x(Shape{4, 3, 16, 16});
   fill_random(x, 23);
   const std::vector<std::int32_t> labels = {0, 1, 2, 3};

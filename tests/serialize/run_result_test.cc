@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "serialize/atomic_file.h"
+#include "test_util.h"
 
 namespace nnr::serialize {
 namespace {
@@ -31,24 +32,14 @@ core::RunResult sample_result() {
 
 class RunResultTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = (fs::temp_directory_path() /
-             ("nnr_run_result_test_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
-    fs::remove(path_);
-  }
-  void TearDown() override { fs::remove(path_); }
-
   void save(const core::RunResult& result, std::uint64_t key_hi,
             std::uint64_t key_lo) {
     ASSERT_TRUE(
         write_file_atomic(path_, encode_run_result(result, key_hi, key_lo)));
   }
 
-  std::string path_;
+  testutil::TempDir tmp_;
+  const std::string path_ = (tmp_.path() / "entry.rr").string();
 };
 
 TEST_F(RunResultTest, RoundTripIsBitwiseLossless) {

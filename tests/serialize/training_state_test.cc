@@ -1,7 +1,5 @@
 // Training-state checkpoints: with optimizer state captured, resume is
 // bitwise identical to uninterrupted training WITHOUT restarting momentum.
-#include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,17 +22,16 @@ using tensor::Tensor;
 using testutil::deterministic_context;
 using testutil::fill_random;
 
-std::string temp_path(const std::string& stem) {
-  return (std::filesystem::temp_directory_path() / stem).string();
-}
-
+/// A file name inside a private temp directory that is removed, with
+/// everything the test wrote next to the file, on destruction.
 class ScopedFile {
  public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
+  explicit ScopedFile(const std::string& name)
+      : path_((dir_.path() / name).string()) {}
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  testutil::TempDir dir_;
   std::string path_;
 };
 
@@ -52,7 +49,7 @@ void train_steps(Model& model, opt::Optimizer& optimizer, const Tensor& x,
 }
 
 TEST(TrainingState, ResumeWithMomentumIsBitwiseIdentical) {
-  ScopedFile file(temp_path("trns_sgd.nnr"));
+  ScopedFile file("trns_sgd.nnr");
   Tensor x(Shape{4, 3, 16, 16});
   fill_random(x, 3);
   const std::vector<std::int32_t> labels = {0, 1, 2, 3};
@@ -89,7 +86,7 @@ TEST(TrainingState, ResumeWithMomentumIsBitwiseIdentical) {
 TEST(TrainingState, AdamResumeRestoresMomentsAndBiasCorrection) {
   // Adam's updates depend on the step count through bias correction; a
   // resume that reset steps_taken would visibly diverge.
-  ScopedFile file(temp_path("trns_adam.nnr"));
+  ScopedFile file("trns_adam.nnr");
   Tensor x(Shape{2, 3, 16, 16});
   fill_random(x, 11);
   const std::vector<std::int32_t> labels = {1, 4};
@@ -117,7 +114,7 @@ TEST(TrainingState, AdamResumeRestoresMomentsAndBiasCorrection) {
 }
 
 TEST(TrainingState, RmsPropResumeIsBitwiseIdentical) {
-  ScopedFile file(temp_path("trns_rms.nnr"));
+  ScopedFile file("trns_rms.nnr");
   Tensor x(Shape{2, 3, 16, 16});
   fill_random(x, 17);
   const std::vector<std::int32_t> labels = {2, 7};
@@ -146,7 +143,7 @@ TEST(TrainingState, RmsPropResumeIsBitwiseIdentical) {
 }
 
 TEST(TrainingState, RejectsOptimizerTypeMismatch) {
-  ScopedFile file(temp_path("trns_mismatch.nnr"));
+  ScopedFile file("trns_mismatch.nnr");
   Model m = nn::small_cnn(10, false);
   rng::Generator init(23);
   m.init_weights(init);
@@ -161,7 +158,7 @@ TEST(TrainingState, RejectsOptimizerTypeMismatch) {
 TEST(TrainingState, ModelOnlyLoaderRejectsTrainingStateFile) {
   // The two formats carry different magics so a model-only consumer cannot
   // silently misread a training-state file (and vice versa).
-  ScopedFile file(temp_path("trns_magic.nnr"));
+  ScopedFile file("trns_magic.nnr");
   Model m = nn::small_cnn(10, false);
   rng::Generator init(29);
   m.init_weights(init);
@@ -171,7 +168,7 @@ TEST(TrainingState, ModelOnlyLoaderRejectsTrainingStateFile) {
   Model m2 = nn::small_cnn(10, false);
   EXPECT_THROW(load_model(file.path(), m2), CheckpointError);
 
-  ScopedFile model_file(temp_path("ckpt_magic.nnr"));
+  ScopedFile model_file("ckpt_magic.nnr");
   save_model(model_file.path(), m);
   opt::Sgd sgd2(m2.params());
   EXPECT_THROW(load_training_state(model_file.path(), m2, sgd2),

@@ -1,9 +1,15 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <stdlib.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "hw/execution_context.h"
@@ -12,6 +18,32 @@
 #include "tensor/tensor.h"
 
 namespace nnr::testutil {
+
+/// A fresh directory under temp_directory_path(), named by mkdtemp(3) and
+/// removed with its contents on destruction. Two test processes running at
+/// once never share one, so they cannot delete each other's files.
+class TempDir {
+ public:
+  TempDir() {
+    std::string name =
+        (std::filesystem::temp_directory_path() / "nnr_test_XXXXXX").string();
+    if (::mkdtemp(name.data()) == nullptr) {
+      throw std::system_error(errno, std::generic_category(), "mkdtemp");
+    }
+    path_ = name;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
 
 /// A deterministic execution context (V100 in deterministic mode) for tests
 /// that need reproducible kernel behaviour.

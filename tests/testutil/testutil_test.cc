@@ -1,9 +1,12 @@
 // Unit coverage for the test helpers themselves: the gradient-checking
 // machinery every layer test leans on must itself be validated against
-// functions with known analytic derivatives.
+// functions with known analytic derivatives, and the scratch directories
+// every file-touching suite uses must be private and cleaned up.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -87,6 +90,23 @@ TEST(Close, RespectsTolerances) {
   EXPECT_FALSE(close(100.0, 110.0));   // outside 5% rtol
   EXPECT_TRUE(close(0.0, 5e-4));       // inside atol near zero
   EXPECT_FALSE(close(0.0, 1e-2));      // outside atol near zero
+}
+
+TEST(TempDir, IsAFreshPrivateDirectoryRemovedOnScopeExit) {
+  std::filesystem::path kept;
+  {
+    const TempDir a;
+    const TempDir b;
+    EXPECT_NE(a.path(), b.path());
+    EXPECT_TRUE(std::filesystem::is_directory(a.path()));
+    EXPECT_TRUE(std::filesystem::is_directory(b.path()));
+    EXPECT_TRUE(std::filesystem::equivalent(
+        a.path().parent_path(), std::filesystem::temp_directory_path()));
+    std::ofstream(a.path() / "file") << "contents";
+    kept = a.path();
+  }
+  EXPECT_FALSE(std::filesystem::exists(kept))
+      << "the directory and its contents must go at scope exit";
 }
 
 }  // namespace

@@ -53,12 +53,12 @@ constexpr const char* kUsage = R"(nnr_cached: remote replicate-cache daemon
   --idle-ms N     evict a connection that delivers no bytes for N ms — the
                   slow-loris defense; healthy clients reconnect
                   transparently (default: 60000; 0 = never)
-  --max-rps N     per-connection token-bucket limit: sustained requests/s
-                  above N are answered THROTTLED with a retry-after hint
-                  (default: 0 = unlimited)
   --drain-ms N    graceful-shutdown bound on flushing queued responses at
                   SIGTERM/SIGINT (default: 2000)
   --help          this text
+
+Every well-formed request on an admitted connection is served, in order;
+there is no per-connection rate limit.
 
 A sharded cache tier is N of these daemons, each with its own --dir (never
 shared — clients verify disjointness via SHARD_INFO), listed together in
@@ -96,11 +96,6 @@ std::int64_t parse_int_flag(const char* flag, const char* text) {
 int main(int argc, char** argv) {
   nnr::sched::CacheServerConfig config;
   config.port = 9776;
-  // The deployed daemon defends itself by default; the library defaults
-  // stay off so in-process test servers are unconstrained unless a test
-  // opts in.
-  config.max_conns = 256;
-  config.idle_timeout_ms = 60'000;
   auto next_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage_error("flag needs a value");
     return argv[++i];
@@ -138,10 +133,6 @@ int main(int argc, char** argv) {
       const std::int64_t idle = parse_int_flag("--idle-ms", next_value(i));
       if (idle < 0) usage_error("--idle-ms must be >= 0");
       config.idle_timeout_ms = idle;
-    } else if (arg == "--max-rps") {
-      const std::int64_t rps = parse_int_flag("--max-rps", next_value(i));
-      if (rps < 0) usage_error("--max-rps must be >= 0");
-      config.max_rps = static_cast<double>(rps);
     } else if (arg == "--drain-ms") {
       const std::int64_t drain = parse_int_flag("--drain-ms", next_value(i));
       if (drain < 0) usage_error("--drain-ms must be >= 0");
