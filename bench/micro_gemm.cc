@@ -1,8 +1,8 @@
 // Micro benchmarks for the tensor fast path: GEMM (blocked engine vs the
-// seed reference loop), transpose, im2col, and a Conv2D forward/backward
-// step at paper-relevant shapes. Emits BENCH_tensor.json (path = argv[1],
-// default ./BENCH_tensor.json) so the repo's perf trajectory is recorded and
-// regressions are visible in CI.
+// seed reference loop, per accumulation order), transpose, im2col, and a
+// Conv2D forward/backward step at paper-relevant shapes. Emits
+// BENCH_tensor.json (path = argv[1], default ./BENCH_tensor.json) so the
+// repo's perf trajectory is recorded and regressions are visible in CI.
 //
 // NNR_QUICK shrinks shapes and repetitions to smoke-test scale.
 // NNR_THREADS sizes the host pool; the thread-scaling rows resize it
@@ -105,6 +105,10 @@ int main(int argc, char** argv) {
   const KernelPolicy tree{.order = AccumOrder::kPairwiseTree,
                           .cuda_cores = 5120,
                           .entropy = nullptr};
+  nnr::rng::Generator scheduler(8);
+  const KernelPolicy shuffled{.order = AccumOrder::kShardedShuffled,
+                              .cuda_cores = 5120,
+                              .entropy = &scheduler};
 
   // --- GEMM: blocked engine vs seed loop, single thread. -------------------
   {
@@ -117,7 +121,9 @@ int main(int argc, char** argv) {
     struct {
       const char* name;
       const KernelPolicy* policy;
-    } variants[] = {{"gemm_seq", &seq}, {"gemm_tree", &tree}};
+    } variants[] = {{"gemm_seq", &seq},
+                    {"gemm_tree", &tree},
+                    {"gemm_shuffled", &shuffled}};
     for (const auto& v : variants) {
       const double ref_ns = ns_per_step(
           [&] { nnr::tensor::gemm_nt_reference(a, b, c, *v.policy); }, reps);

@@ -68,14 +68,6 @@ class ReductionPlan {
     return combine_order_;
   }
 
-  /// Combines per-lane partial sums (size == lanes()) exactly as the full
-  /// reductions do — exposed so the blocked GEMM fast path can reproduce the
-  /// reference combine bit-for-bit from externally computed lane partials.
-  /// `partials` is clobbered for kPairwiseTree (in-place tree).
-  [[nodiscard]] float combine_partials(std::span<float> partials) const noexcept {
-    return combine(partials);
-  }
-
  private:
   [[nodiscard]] float combine(std::span<float> partials) const noexcept;
 

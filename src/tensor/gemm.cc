@@ -20,12 +20,14 @@ namespace {
 //   - within a chunk each output element is accumulated in unrolled_dot's
 //     order: four sub-accumulators over k-offsets {0,1,2,3} mod 4 combined
 //     as (acc0 + acc1) + (acc2 + acc3), then a sequential tail,
-//   - lane partials are combined by ReductionPlan::combine_partials.
+//   - lane partials are combined in ReductionPlan::combine's order for the
+//     plan (pairwise tree, or this launch's shuffled combine_order), batched
+//     across the tile's elements, which never mix.
 // What changes is only the *schedule*: a kMr x kNr register tile shares every
 // A load across kNr columns and every packed-B load across kMr rows, and
 // host threads split the output rows. Neither affects any per-element
 // floating-point order, so the result is bitwise equal to the reference
-// loop for the deterministic accumulation orders.
+// loop for every accumulation order.
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kMr = 4;  // output rows per register tile
@@ -171,13 +173,10 @@ void gemm_nt_blocked(const float* pa, const float* pb, float* pc,
 
   const std::int64_t row_blocks = (m + kMr - 1) / kMr;
   pool.parallel_for(0, row_blocks, 1, [&](std::int64_t rb0, std::int64_t rb1) {
-    // Per-worker lane staging: lane partials for one tile, plus a gather
-    // buffer handed to combine_partials per element.
+    // Per-worker lane staging: lane partials for one tile.
     std::vector<float> lane_buf;
-    std::vector<float> lane_tmp;
     if (lanes > 1) {
       lane_buf.resize(static_cast<std::size_t>(lanes) * kTileElems);
-      lane_tmp.resize(static_cast<std::size_t>(lanes));
     }
     for (std::int64_t rb = rb0; rb < rb1; ++rb) {
       const std::int64_t i0 = rb * kMr;
@@ -219,15 +218,19 @@ void gemm_nt_blocked(const float* pa, const float* pb, float* pc,
                 tile[e] = lane_buf[static_cast<std::size_t>(e)];
               }
             } else {
-              // Generic (future accumulation orders): gather each element's
-              // lane partials and delegate to the reference combine.
-              for (std::int64_t e = 0; e < kTileElems; ++e) {
-                for (int l = 0; l < lanes; ++l) {
-                  lane_tmp[static_cast<std::size_t>(l)] =
-                      lane_buf[static_cast<std::size_t>(l) * kTileElems +
-                               static_cast<std::size_t>(e)];
+              // kSequential always has one lane, so this is the shuffled
+              // order: ReductionPlan::combine's accumulator starts at 0.0F
+              // (not the first partial — 0.0F + -0.0F is +0.0F) and adds
+              // each lane in this launch's retirement order. Whole lane
+              // tiles at a time; per element, the scalar sequence exactly.
+              assert(plan.order() == AccumOrder::kShardedShuffled);
+              for (float& t : tile) t = 0.0F;
+              for (std::uint32_t l : plan.combine_order()) {
+                const float* addend =
+                    lane_buf.data() + static_cast<std::int64_t>(l) * kTileElems;
+                for (std::int64_t e = 0; e < kTileElems; ++e) {
+                  tile[e] += addend[e];
                 }
-                tile[e] = plan.combine_partials(lane_tmp);
               }
             }
           }
@@ -276,11 +279,12 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
   // applied to every output element, then the next launch redraws it.
   const ReductionPlan plan = policy.make_plan(k);
 
-  // The shuffled order keeps the seed loop so IMPL-noise semantics stay
-  // byte-identical; tiny problems skip the pack/tile overhead (the blocked
-  // engine is bit-exact either way, so this cutoff is a pure perf choice).
+  // Both paths run the same plan, so the shuffle drawn above is spent
+  // identically either way. Tiny problems skip the pack/tile overhead (the
+  // blocked engine is bit-exact for every order, so this cutoff is a pure
+  // perf choice).
   const bool tiny = m * n < 64 || n < kNr || k < 4;
-  if (plan.order() == AccumOrder::kShardedShuffled || tiny) {
+  if (tiny) {
     gemm_nt_loop(a.raw(), b.raw(), c.raw(), m, n, k, plan);
     return;
   }

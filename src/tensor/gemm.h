@@ -36,14 +36,13 @@ struct KernelPolicy {
 
 /// C[M, N] = A[M, K] · B[N, K]^T. C must be preallocated with shape {M, N}.
 ///
-/// Dispatch: when the policy yields a fixed per-element reduction order
-/// (kSequential / kPairwiseTree), a register-blocked, B-panel-packed,
-/// host-threaded engine runs — bitwise identical to gemm_nt_reference by
+/// Dispatch: every accumulation order runs a register-blocked, B-panel-packed,
+/// host-threaded engine — bitwise identical to gemm_nt_reference by
 /// construction (same lane partition, same unrolled accumulator order, same
-/// lane combine; threading only distributes whole output elements). The
-/// kShardedShuffled order runs the reference loop unchanged so IMPL-noise
-/// semantics (one shuffle draw per launch applied to every element) are
-/// untouched.
+/// lane combine; threading only distributes whole output elements). The plan
+/// is made once per launch before dispatch, so kShardedShuffled draws one
+/// shuffle per launch and applies it to every element on either path. Only
+/// tiny problems take the reference loop, a pure perf cutoff.
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 

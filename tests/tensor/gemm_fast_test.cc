@@ -1,12 +1,11 @@
 // Determinism suite for the blocked GEMM engine and the lowering fast paths.
 //
-// The contract under test: for the fixed accumulation orders (kSequential,
-// kPairwiseTree) the blocked+packed+threaded engine must be *bitwise*
-// identical to the seed triple loop (gemm_nt_reference), for every shape —
-// including k = 0, k below the unroll width, and m/n that are not multiples
-// of the register tile — and for every host thread count. The shuffled order
-// must keep the seed loop's behaviour, including its entropy-stream
-// consumption (one shuffle draw per launch).
+// The contract under test: for every accumulation order the blocked+packed+
+// threaded engine must be *bitwise* identical to the seed triple loop
+// (gemm_nt_reference), for every shape — including k = 0, k below the unroll
+// width, and m/n that are not multiples of the register tile — and for every
+// host thread count. For the shuffled order that holds launch after launch,
+// with both entropy streams in lockstep (one shuffle draw per launch).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -41,21 +40,25 @@ struct GemmCase {
 };
 
 // Awkward shapes on purpose: k = 0, k below the 4-wide unroll, k with a
-// remainder, m/n off the 4x8 tile grid, and one comfortably blocked shape.
+// remainder, m/n off the 4x8 tile grid, one comfortably blocked shape, and
+// one k large enough (lanes cap at k / 32) to reach the 40 lanes a V100
+// reduces over.
 const GemmCase kCases[] = {
     {1, 1, 0},  {3, 5, 1},   {4, 8, 3},    {5, 7, 5},    {16, 24, 32},
     {13, 17, 129}, {33, 9, 257}, {64, 64, 64}, {31, 130, 200},
+    {37, 41, 1500},
 };
+
+const int kCoreCounts[] = {0, 512, 5120, 100000};  // 1 .. many lanes
 
 TEST(GemmFastPath, BitwiseEqualToReferenceAllDeterministicOrders) {
   const AccumOrder orders[] = {AccumOrder::kSequential,
                                AccumOrder::kPairwiseTree};
-  const int core_counts[] = {0, 512, 5120, 100000};  // 1 .. many lanes
   for (const GemmCase& c : kCases) {
     const Tensor a = random_tensor(Shape{c.m, c.k}, 11 + c.m);
     const Tensor b = random_tensor(Shape{c.n, c.k}, 23 + c.n);
     for (AccumOrder order : orders) {
-      for (int cores : core_counts) {
+      for (int cores : kCoreCounts) {
         const KernelPolicy policy{
             .order = order, .cuda_cores = cores, .entropy = nullptr};
         Tensor fast(Shape{c.m, c.n});
@@ -68,25 +71,40 @@ TEST(GemmFastPath, BitwiseEqualToReferenceAllDeterministicOrders) {
   }
 }
 
-TEST(GemmFastPath, ShuffledOrderKeepsSeedSemanticsAndEntropyStream) {
-  const Tensor a = random_tensor(Shape{12, 300}, 31);
-  const Tensor b = random_tensor(Shape{16, 300}, 37);
-  rng::Generator entropy_fast(99);
-  rng::Generator entropy_ref(99);
-  const KernelPolicy fast_policy{.order = AccumOrder::kShardedShuffled,
-                                 .cuda_cores = 5120,
-                                 .entropy = &entropy_fast};
-  const KernelPolicy ref_policy{.order = AccumOrder::kShardedShuffled,
-                                .cuda_cores = 5120,
-                                .entropy = &entropy_ref};
-  Tensor fast(Shape{12, 16});
-  Tensor ref(Shape{12, 16});
-  gemm_nt(a, b, fast, fast_policy);
-  gemm_nt_reference(a, b, ref, ref_policy);
-  expect_bitwise_equal(fast, ref, "shuffled gemm");
-  // Identical per-launch shuffle consumption: the streams must stay in
-  // lockstep after the launch (the IMPL noise model depends on it).
-  EXPECT_EQ(entropy_fast.next_u32(), entropy_ref.next_u32());
+TEST(GemmFastPath, ShuffledOrderBitwiseEqualToReferenceEveryLaunch) {
+  constexpr int kLaunches = 5;
+  for (const GemmCase& c : kCases) {
+    const Tensor a = random_tensor(Shape{c.m, c.k}, 31 + c.m);
+    const Tensor b = random_tensor(Shape{c.n, c.k}, 37 + c.n);
+    for (int cores : kCoreCounts) {
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message() << c.m << "x" << c.n << "x" << c.k
+                                        << " cores=" << cores
+                                        << " threads=" << threads);
+        runtime::ThreadPool::set_global_threads(threads);
+        rng::Generator entropy_fast(99);
+        rng::Generator entropy_ref(99);
+        const KernelPolicy fast_policy{.order = AccumOrder::kShardedShuffled,
+                                       .cuda_cores = cores,
+                                       .entropy = &entropy_fast};
+        const KernelPolicy ref_policy{.order = AccumOrder::kShardedShuffled,
+                                      .cuda_cores = cores,
+                                      .entropy = &entropy_ref};
+        for (int launch = 0; launch < kLaunches; ++launch) {
+          SCOPED_TRACE(testing::Message() << "launch " << launch);
+          Tensor fast(Shape{c.m, c.n});
+          Tensor ref(Shape{c.m, c.n});
+          gemm_nt(a, b, fast, fast_policy);
+          gemm_nt_reference(a, b, ref, ref_policy);
+          expect_bitwise_equal(fast, ref, "shuffled gemm");
+        }
+        // Identical per-launch shuffle consumption: the streams must stay in
+        // lockstep after the launches (the IMPL noise model depends on it).
+        EXPECT_EQ(entropy_fast.next_u32(), entropy_ref.next_u32());
+      }
+    }
+  }
+  runtime::ThreadPool::set_global_threads(0);  // restore env default
 }
 
 TEST(GemmFastPath, InvariantToHostThreadCount) {
