@@ -1,8 +1,9 @@
 // Micro benchmarks for the tensor fast path: GEMM (blocked engine vs the
-// seed reference loop, per accumulation order), transpose, im2col, and a
-// Conv2D forward/backward step at paper-relevant shapes. Emits
-// BENCH_tensor.json (path = argv[1], default ./BENCH_tensor.json) so the
-// repo's perf trajectory is recorded and regressions are visible in CI.
+// seed reference loop, per accumulation order, plus gemm_nn's untransposed
+// B), transpose, im2col, and a Conv2D forward/backward step at
+// paper-relevant shapes. Emits BENCH_tensor.json (path = argv[1], default
+// ./BENCH_tensor.json) so the repo's perf trajectory is recorded and
+// regressions are visible in CI.
 //
 // NNR_QUICK shrinks shapes and repetitions to smoke-test scale.
 // NNR_THREADS sizes the host pool; the thread-scaling rows resize it
@@ -138,6 +139,24 @@ int main(int argc, char** argv) {
                   ref_ns / fast_ns);
     }
 
+    // --- gemm_nn: B read untransposed as [K, N]. The reference runs the
+    // seed loop on B transposed once, outside the timed loop. -------------
+    {
+      Tensor b_nk(Shape{d, d});
+      nnr::tensor::transpose(b, b_nk);
+      const double ref_ns = ns_per_step(
+          [&] { nnr::tensor::gemm_nt_reference(a, b_nk, c, tree); }, reps);
+      const double fast_ns =
+          ns_per_step([&] { nnr::tensor::gemm_nn(a, b, c, tree); }, reps);
+      rows.push_back({"gemm_tree_nn_reference", dims({d, d, d}), 1, ref_ns,
+                      flops / ref_ns, 0.0});
+      rows.push_back({"gemm_tree_nn_blocked", dims({d, d, d}), 1, fast_ns,
+                      flops / fast_ns, ref_ns / fast_ns});
+      std::printf("%-24s %s  %10.0f ns  %6.2f GFLOP/s  (%.2fx vs reference)\n",
+                  "gemm_tree_nn", dims({d, d, d}).c_str(), fast_ns,
+                  flops / fast_ns, ref_ns / fast_ns);
+    }
+
     // --- Thread scaling of the blocked engine. -----------------------------
     for (int threads : {1, 2, 4}) {
       nnr::runtime::ThreadPool::set_global_threads(threads);
@@ -151,8 +170,10 @@ int main(int argc, char** argv) {
     }
     nnr::runtime::ThreadPool::set_global_threads(0);
   }
+  // The rows below run on the pool as NNR_THREADS (or the hardware) sizes it.
+  const int threads = nnr::runtime::ThreadPool::global().size();
 
-  // --- Transpose at a Conv2D::backward-like shape (patch x pixels). --------
+  // --- Transpose of a patch x pixels matrix. ------------------------------
   {
     const std::int64_t r = quick ? 288 : 1152;  // 128 * 3 * 3
     const std::int64_t cdim = quick ? 512 : 2048;
@@ -160,7 +181,7 @@ int main(int argc, char** argv) {
     Tensor out(Shape{cdim, r});
     const double ns =
         ns_per_step([&] { nnr::tensor::transpose(in, out); }, reps);
-    rows.push_back({"transpose", dims({r, cdim}), 1, ns, 0.0, 0.0});
+    rows.push_back({"transpose", dims({r, cdim}), threads, ns, 0.0, 0.0});
     std::printf("%-24s %s  %10.0f ns\n", "transpose", dims({r, cdim}).c_str(),
                 ns);
   }
@@ -181,8 +202,8 @@ int main(int argc, char** argv) {
     const double ns =
         ns_per_step([&] { nnr::tensor::im2col(input, g, cols); }, reps);
     rows.push_back({"im2col_k3s1p1",
-                    dims({batch, g.in_channels, g.in_h, g.in_w}), 1, ns, 0.0,
-                    0.0});
+                    dims({batch, g.in_channels, g.in_h, g.in_w}), threads, ns,
+                    0.0, 0.0});
     std::printf("%-24s %s  %10.0f ns\n", "im2col_k3s1p1",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), ns);
 
@@ -207,11 +228,11 @@ int main(int argc, char** argv) {
         },
         reps);
     rows.push_back({"conv2d_forward",
-                    dims({batch, g.in_channels, g.in_h, g.in_w}), 1, fwd_ns,
-                    0.0, 0.0});
+                    dims({batch, g.in_channels, g.in_h, g.in_w}), threads,
+                    fwd_ns, 0.0, 0.0});
     rows.push_back({"conv2d_fwd_bwd",
-                    dims({batch, g.in_channels, g.in_h, g.in_w}), 1, bwd_ns,
-                    0.0, 0.0});
+                    dims({batch, g.in_channels, g.in_h, g.in_w}), threads,
+                    bwd_ns, 0.0, 0.0});
     std::printf("%-24s %s  %10.0f ns\n", "conv2d_forward",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), fwd_ns);
     std::printf("%-24s %s  %10.0f ns\n", "conv2d_fwd_bwd",

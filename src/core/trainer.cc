@@ -108,8 +108,8 @@ RunResult train_replicate(const TrainJob& job, ReplicateIds ids) {
           : std::make_unique<opt::Sgd>(model.params(), job.recipe.momentum);
 
   EpochShuffler shuffler(train.size(), std::move(shuffle_gen));
-  // One scratch arena per replicate: conv/dense reuse their im2col and
-  // transpose buffers across every step of the run.
+  // One scratch arena per replicate: conv/dense reuse their im2col, repack
+  // and gradient staging buffers across every step of the run.
   tensor::Workspace workspace;
   nn::RunContext ctx{.hw = &hw_ctx,
                      .training = true,

@@ -21,9 +21,7 @@ enum ConvSlot : int {
   kOutPc,       // [P, C] forward GEMM output
   kDyPc,        // [P, C] grad repack
   kDyCp,        // [C, P] grad repack (transposed)
-  kColsKp,      // [K, P] patch transpose for the weight-gradient GEMM
   kDwStage,     // [C, K] weight-gradient staging
-  kWKc,         // [K, C] weight transpose for the data-gradient GEMM
   kDCols,       // [P, K] patch-gradient matrix
 };
 
@@ -133,10 +131,8 @@ Tensor Conv2D::backward(const Tensor& grad_output, RunContext& ctx) {
 
   // dW[c, k] = sum_p dy[p, c] * cols[p, k] — contraction over batch*pixels.
   {
-    Tensor& cols_kp = ws.scratch(this, kColsKp, Shape{patch, pixels});
-    tensor::transpose(cols, cols_kp);
     Tensor& dw = ws.scratch(this, kDwStage, Shape{out_channels_, patch});
-    tensor::gemm_nt(dy_cp, cols_kp, dw, ctx.hw->matmul_policy());
+    tensor::gemm_nn(dy_cp, cols, dw, ctx.hw->matmul_policy());
     tensor::axpy(1.0F, dw.data(), weight_.grad.data());
   }
 
@@ -148,10 +144,8 @@ Tensor Conv2D::backward(const Tensor& grad_output, RunContext& ctx) {
   }
 
   // dcols[p, k] = sum_c dy[p, c] * W[c, k]
-  Tensor& w_kc = ws.scratch(this, kWKc, Shape{patch, out_channels_});
-  tensor::transpose(weight_.value, w_kc);
   Tensor& dcols = ws.scratch(this, kDCols, Shape{pixels, patch});
-  tensor::gemm_nt(dy_pc, w_kc, dcols, ctx.hw->matmul_policy());
+  tensor::gemm_nn(dy_pc, weight_.value, dcols, ctx.hw->matmul_policy());
 
   Tensor grad_input(
       Shape{geom_.batch, in_channels_, geom_.in_h, geom_.in_w});

@@ -45,8 +45,8 @@ class Conv2D final : public Layer {
   Param weight_;  // [out_c, in_c*k*k]
   Param bias_;    // [out_c]
 
-  // Per-batch caches for backward. The patch matrix and every repack /
-  // transpose temporary live in the run's Workspace (slot-addressed by
+  // Per-batch caches for backward. The patch matrix, the repacks and the
+  // gradient staging buffers live in the run's Workspace (slot-addressed by
   // `this`), so step N+1 reuses step N's buffers instead of reallocating;
   // fallback_ws_ serves callers that run without a context arena. backward()
   // reads the patch matrix from the arena forward() wrote it to (active_ws_),

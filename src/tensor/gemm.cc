@@ -28,21 +28,67 @@ namespace {
 // host threads split the output rows. Neither affects any per-element
 // floating-point order, so the result is bitwise equal to the reference
 // loop for every accumulation order.
+//
+// B reaches the engine through a BView, so gemm_nt's [N, K] B and gemm_nn's
+// [K, N] B run the same code: only where B's values are read from differs.
+// The pack copies either layout into the same panels, and the per-element
+// fallback, which needs column j as one contiguous k-run, gathers a [K, N]
+// B's columns first. Both are pure data movement.
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kMr = 4;  // output rows per register tile
 constexpr std::int64_t kNr = 8;  // output cols per register tile
 constexpr std::int64_t kTileElems = kMr * kNr;
 
-// Packs the kNr B rows of block `jb` into panel layout dst[kk * kNr + jj] so
-// the micro-kernel's inner loop loads one contiguous vector per k step.
+// B's element (j, kk), the kk-th addend of output column j, sits at
+// data[j * col + kk * step]: {k, 1} for an [N, K] B, {1, n} for a [K, N] B.
+struct BView {
+  const float* data;
+  std::int64_t col;   // stride between columns j
+  std::int64_t step;  // stride between k steps
+};
+
+// Grow-only thread-local scratch for one launch's packed panels and gathered
+// columns. It is keyed by the *calling* thread (workers write through the
+// returned pointer), so steady-state training does no per-launch allocation
+// here. GEMMs never nest, and concurrent calls from different threads get
+// different buffers.
+float* launch_scratch(std::size_t size) {
+  static thread_local std::vector<float> tl_packed;
+  if (tl_packed.size() < size) tl_packed.resize(size);
+  return tl_packed.data();
+}
+
+// Packs the kNr B columns of block `jb` into panel layout dst[kk * kNr + jj]
+// so the micro-kernel's inner loop loads one contiguous vector per k step.
 // Pure data movement — no floating-point arithmetic.
-void pack_b_block(const float* pb, std::int64_t k, std::int64_t jb,
+void pack_b_block(BView b, std::int64_t k, std::int64_t jb,
                   float* dst) noexcept {
-  const float* b0 = pb + jb * kNr * k;
+  const float* b0 = b.data + jb * kNr * b.col;
+  if (b.col == 1) {
+    // [K, N]: each k step's kNr values are already one contiguous run.
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      std::copy_n(b0 + kk * b.step, kNr, dst + kk * kNr);
+    }
+    return;
+  }
+  // [N, K]: each column is a contiguous k-run (step 1).
   for (std::int64_t kk = 0; kk < k; ++kk) {
     for (std::int64_t jj = 0; jj < kNr; ++jj) {
-      dst[kk * kNr + jj] = b0[jj * k + kk];
+      dst[kk * kNr + jj] = b0[jj * b.col + kk];
+    }
+  }
+}
+
+// Copies B's columns [j0, j1) to dst as contiguous k-runs, dst[(j - j0) * k
+// + kk]: the [N, K] layout the per-element fallback reads. Only a [K, N] B
+// needs this. Pure data movement.
+void gather_columns(BView b, std::int64_t k, std::int64_t j0, std::int64_t j1,
+                    float* dst) noexcept {
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* src = b.data + kk * b.step;
+    for (std::int64_t j = j0; j < j1; ++j) {
+      dst[(j - j0) * k + kk] = src[j * b.col];
     }
   }
 }
@@ -149,27 +195,33 @@ void gemm_nt_loop(const float* pa, const float* pb, float* pc, std::int64_t m,
   }
 }
 
-void gemm_nt_blocked(const float* pa, const float* pb, float* pc,
-                     std::int64_t m, std::int64_t n, std::int64_t k,
-                     const ReductionPlan& plan) {
+void gemm_blocked(const float* pa, BView b, float* pc, std::int64_t m,
+                  std::int64_t n, std::int64_t k, const ReductionPlan& plan) {
   runtime::ThreadPool& pool = runtime::ThreadPool::global();
   const std::int64_t jblocks = n / kNr;
   const int lanes = plan.lanes();
 
-  // Pack all full B panels once; every row block reads them. The buffer is
-  // grow-only thread-local storage (keyed by the *calling* thread — workers
-  // write through the captured pointer), so steady-state training does no
-  // per-launch allocation here. GEMMs never nest, and concurrent calls from
-  // different threads get different buffers.
-  static thread_local std::vector<float> tl_packed;
+  // Columns from j_tail on reach the per-element fallback: the column
+  // remainder, and every column when the last row block is short.
+  const std::int64_t j_tail = (m % kMr == 0) ? jblocks * kNr : 0;
   const std::size_t pack_size = static_cast<std::size_t>(jblocks * k * kNr);
-  if (tl_packed.size() < pack_size) tl_packed.resize(pack_size);
-  float* packed_data = tl_packed.data();
+  const std::size_t tail_size =
+      b.step == 1 ? 0 : static_cast<std::size_t>((n - j_tail) * k);
+
+  // Pack all full B panels once; every row block reads them. Columns that
+  // are not contiguous k-runs are gathered once, behind the panels.
+  float* packed_data = launch_scratch(pack_size + tail_size);
   pool.parallel_for(0, jblocks, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t jb = b0; jb < b1; ++jb) {
-      pack_b_block(pb, k, jb, packed_data + jb * k * kNr);
+      pack_b_block(b, k, jb, packed_data + jb * k * kNr);
     }
   });
+  // Column j of B, as one contiguous k-run, starts at tail + (j - j_tail) * k.
+  const float* tail = b.data + j_tail * b.col;
+  if (tail_size > 0) {
+    tail = packed_data + pack_size;
+    gather_columns(b, k, j_tail, n, packed_data + pack_size);
+  }
 
   const std::int64_t row_blocks = (m + kMr - 1) / kMr;
   pool.parallel_for(0, row_blocks, 1, [&](std::int64_t rb0, std::int64_t rb1) {
@@ -249,7 +301,7 @@ void gemm_nt_blocked(const float* pa, const float* pb, float* pc,
       for (std::int64_t i = i0; i < i0 + mr; ++i) {
         const std::span<const float> row_a(pa + i * k, len);
         for (std::int64_t j = j0; j < n; ++j) {
-          pc[i * n + j] = plan.reduce_dot(row_a, {pb + j * k, len});
+          pc[i * n + j] = plan.reduce_dot(row_a, {tail + (j - j_tail) * k, len});
         }
       }
     }
@@ -266,15 +318,9 @@ void check_gemm_shapes(const Tensor& a, const Tensor& b, const Tensor& c) {
   (void)c;
 }
 
-}  // namespace
-
-void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
-             const KernelPolicy& policy) {
-  check_gemm_shapes(a, b, c);
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  const std::int64_t n = b.shape()[0];
-
+// One kernel launch of C[M, N] = A[M, K] · B, B read through `b`.
+void gemm_launch(const float* pa, BView b, float* pc, std::int64_t m,
+                 std::int64_t n, std::int64_t k, const KernelPolicy& policy) {
   // One plan per kernel launch: the scheduler interleaving is drawn once and
   // applied to every output element, then the next launch redraws it.
   const ReductionPlan plan = policy.make_plan(k);
@@ -284,11 +330,39 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
   // blocked engine is bit-exact for every order, so this cutoff is a pure
   // perf choice).
   const bool tiny = m * n < 64 || n < kNr || k < 4;
-  if (tiny) {
-    gemm_nt_loop(a.raw(), b.raw(), c.raw(), m, n, k, plan);
+  if (!tiny) {
+    gemm_blocked(pa, b, pc, m, n, k, plan);
     return;
   }
-  gemm_nt_blocked(a.raw(), b.raw(), c.raw(), m, n, k, plan);
+  const float* pb = b.data;
+  if (b.step != 1) {
+    float* cols = launch_scratch(static_cast<std::size_t>(n * k));
+    gather_columns(b, k, 0, n, cols);
+    pb = cols;
+  }
+  gemm_nt_loop(pa, pb, pc, m, n, k, plan);
+}
+
+}  // namespace
+
+void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
+             const KernelPolicy& policy) {
+  check_gemm_shapes(a, b, c);
+  const std::int64_t m = a.shape()[0];
+  const std::int64_t k = a.shape()[1];
+  const std::int64_t n = b.shape()[0];
+  gemm_launch(a.raw(), {b.raw(), k, 1}, c.raw(), m, n, k, policy);
+}
+
+void gemm_nn(const Tensor& a, const Tensor& b, Tensor& c,
+             const KernelPolicy& policy) {
+  assert(a.shape().rank() == 2 && b.shape().rank() == 2 &&
+         c.shape().rank() == 2);
+  const std::int64_t m = a.shape()[0];
+  const std::int64_t k = a.shape()[1];
+  const std::int64_t n = b.shape()[1];
+  assert(b.shape()[0] == k && c.shape() == (Shape{m, n}));
+  gemm_launch(a.raw(), {b.raw(), 1, n}, c.raw(), m, n, k, policy);
 }
 
 void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c,
@@ -308,8 +382,8 @@ void transpose(const Tensor& in, Tensor& out) {
   float* pout = out.raw();
 
   // Square tiles keep both the row-major reads and the column-strided writes
-  // inside one cache footprint; the large patch x pixels transposes in
-  // Conv2D::backward otherwise touch a fresh line per element.
+  // inside one cache footprint; a large transpose otherwise touches a fresh
+  // line per element.
   constexpr std::int64_t kTile = 32;
   const std::int64_t row_tiles = (rows + kTile - 1) / kTile;
   runtime::ThreadPool::global().parallel_for(

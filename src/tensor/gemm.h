@@ -9,8 +9,9 @@
 // Layout convention: the canonical kernel is gemm_nt,
 //     C[M, N] = A[M, K] · B[N, K]^T
 // i.e. both operands are row-major with the contraction axis K contiguous.
-// Callers arrange operands (via transpose()) so every inner dot product walks
-// unit-stride memory; this keeps the scalar kernels auto-vectorizable.
+// gemm_nn takes B untransposed, C[M, N] = A[M, K] · B[K, N], and computes
+// exactly what gemm_nt computes on transpose(B), so a backward pass reads its
+// patch and weight matrices where they lie. A is always [M, K] row-major.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,17 @@ struct KernelPolicy {
 /// shuffle per launch and applies it to every element on either path. Only
 /// tiny problems take the reference loop, a pure perf cutoff.
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
+             const KernelPolicy& policy);
+
+/// C[M, N] = A[M, K] · B[K, N], B row-major and untransposed. C must be
+/// preallocated with shape {M, N}.
+///
+/// One launch of gemm_nt's engine with B read in place: every output element
+/// is bitwise equal to gemm_nt(a, transpose(b)), and a kShardedShuffled
+/// launch draws the same one shuffle. The panel pack copies each k step's
+/// columns as one run; where the tiny cutoff or a tile remainder needs
+/// B's column j as a contiguous k-run, it is gathered first.
+void gemm_nn(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 
 /// The seed triple loop: one reduce_dot per output element. Kept as

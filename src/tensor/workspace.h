@@ -2,11 +2,11 @@
 //
 // The hot training path (Conv2D, Dense, im2col lowering) needs the same
 // intermediate buffers every step — patch matrices, NCHW<->[P,C] repacks,
-// transpose temporaries, gradient staging. Allocating them per step puts the
-// allocator on the critical path and blows the cache with cold pages; the
-// Workspace instead hands out slot-addressed tensors that persist across
-// steps and are reallocated only when the requested element count changes
-// (e.g. switching from the training to the evaluation batch size).
+// Dense's transposed output gradient, gradient staging. Allocating them per
+// step puts the allocator on the critical path and blows the cache with cold
+// pages; the Workspace instead hands out slot-addressed tensors that persist
+// across steps and are reallocated only when the requested element count
+// changes (e.g. switching from the training to the evaluation batch size).
 //
 // Slots are keyed by (owner pointer, slot index), so layers address their
 // scratch by `this` without coordinating globally. Contents are preserved

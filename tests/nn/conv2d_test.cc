@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "nn/loss.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 
 namespace nnr::nn {
@@ -175,6 +178,85 @@ TEST(Conv2D, InputGradientCheck) {
     EXPECT_TRUE(close(dx.at(static_cast<std::int64_t>(i)), numeric[i], 5e-2,
                       5e-3))
         << "dx[" << i << "]";
+  }
+}
+
+// Conv2D's backward as it was computed before its GEMMs read B in place:
+// explicit transposes feeding gemm_nt_reference. The reference makes its
+// launches in the layer's order (forward GEMM, dW GEMM, bias reduction, dx
+// GEMM) on a context seeded like the layer's, so under default kernels both
+// draw the same shuffle for every launch.
+TEST(Conv2D, BackwardBitwiseEqualToTransposedFormulation) {
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "default kernels");
+    auto make_hw = [&] {
+      return deterministic ? deterministic_context()
+                           : testutil::noisy_context(61);
+    };
+    auto hw = make_hw();
+    auto ref_hw = make_hw();
+    RunContext ctx{.hw = &hw, .training = true};
+    // 3 input channels x 3x3 taps: K = 27 leaves a 3-column tile remainder.
+    const std::int64_t cin = 3;
+    const std::int64_t cout = 8;
+    Conv2D layer(cin, cout, 3);
+    rng::Generator init(7);
+    layer.init_weights(init);
+    Tensor x(Shape{2, cin, 8, 8});
+    fill_random(x, 8);
+    Tensor dy(Shape{2, cout, 8, 8});
+    fill_random(dy, 9);
+    (void)layer.forward(x, ctx);
+    const Tensor dx = layer.backward(dy, ctx);
+
+    const Tensor& w = layer.params()[0]->value;
+    const tensor::ConvGeometry g{.batch = 2,
+                                 .in_channels = cin,
+                                 .in_h = 8,
+                                 .in_w = 8,
+                                 .kernel = 3,
+                                 .stride = 1,
+                                 .pad = 1};
+    const std::int64_t pixels = g.out_pixels();
+    const std::int64_t patch = g.patch_size();
+    const std::int64_t ohw = g.out_h() * g.out_w();
+    Tensor cols(Shape{pixels, patch});
+    tensor::im2col(x, g, cols);
+    Tensor out_pc(Shape{pixels, cout});
+    tensor::gemm_nt_reference(cols, w, out_pc, ref_hw.matmul_policy());
+
+    Tensor dy_pc(Shape{pixels, cout});
+    Tensor dy_cp(Shape{cout, pixels});
+    for (std::int64_t n = 0; n < g.batch; ++n) {
+      for (std::int64_t c = 0; c < cout; ++c) {
+        for (std::int64_t p = 0; p < ohw; ++p) {
+          const float v = dy.at((n * cout + c) * ohw + p);
+          dy_pc.at(n * ohw + p, c) = v;
+          dy_cp.at(c, n * ohw + p) = v;
+        }
+      }
+    }
+    Tensor cols_kp(Shape{patch, pixels});
+    tensor::transpose(cols, cols_kp);
+    Tensor dw(Shape{cout, patch});
+    tensor::gemm_nt_reference(dy_cp, cols_kp, dw, ref_hw.matmul_policy());
+    Tensor db(Shape{cout});
+    tensor::reduce_rows(dy_cp, db.data(), ref_hw.reduction_policy());
+    Tensor w_kc(Shape{patch, cout});
+    tensor::transpose(w, w_kc);
+    Tensor dcols(Shape{pixels, patch});
+    tensor::gemm_nt_reference(dy_pc, w_kc, dcols, ref_hw.matmul_policy());
+    Tensor dx_ref(x.shape());
+    tensor::col2im(dcols, g, dx_ref);
+
+    // The layer accumulates into zeroed grads: 0.0F + -0.0F is +0.0F.
+    Tensor dw_ref(w.shape());
+    tensor::axpy(1.0F, dw.data(), dw_ref.data());
+    Tensor db_ref(Shape{cout});
+    tensor::axpy(1.0F, db.data(), db_ref.data());
+    EXPECT_EQ(testutil::bits(layer.params()[0]->grad), testutil::bits(dw_ref));
+    EXPECT_EQ(testutil::bits(layer.params()[1]->grad), testutil::bits(db_ref));
+    EXPECT_EQ(testutil::bits(dx), testutil::bits(dx_ref));
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "nn/loss.h"
+#include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 
 namespace nnr::nn {
@@ -108,6 +110,63 @@ TEST(Dense, GradAccumulatesAcrossBackwards) {
   (void)layer.forward(x, ctx);
   (void)layer.backward(dy, ctx);
   EXPECT_FLOAT_EQ(layer.params()[0]->grad.at(0), 2.0F * once);
+}
+
+// Dense's backward as it was computed before its GEMMs read B in place:
+// explicit transposes feeding gemm_nt_reference. The reference makes its
+// launches in the layer's order (forward GEMM, dW GEMM, bias reduction, dx
+// GEMM) on a context seeded like the layer's, so under default kernels both
+// draw the same shuffle for every launch.
+TEST(Dense, BackwardBitwiseEqualToTransposedFormulation) {
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "default kernels");
+    auto make_hw = [&] {
+      return deterministic ? deterministic_context()
+                           : testutil::noisy_context(67);
+    };
+    auto hw = make_hw();
+    auto ref_hw = make_hw();
+    RunContext ctx{.hw = &hw, .training = true};
+    // 27 inputs leave a 3-column tile remainder; 10 outputs and a batch of
+    // 66 leave short row blocks; the batch gives the dW reduction 2 lanes.
+    const std::int64_t in = 27;
+    const std::int64_t out = 10;
+    const std::int64_t batch = 66;
+    Dense layer(in, out);
+    rng::Generator init(11);
+    layer.init_weights(init);
+    Tensor x(Shape{batch, in});
+    fill_random(x, 12);
+    Tensor dy(Shape{batch, out});
+    fill_random(dy, 13);
+    (void)layer.forward(x, ctx);
+    const Tensor dx = layer.backward(dy, ctx);
+
+    const Tensor& w = layer.params()[0]->value;
+    Tensor y(Shape{batch, out});
+    tensor::gemm_nt_reference(x, w, y, ref_hw.matmul_policy());
+    Tensor dy_t(Shape{out, batch});
+    tensor::transpose(dy, dy_t);
+    Tensor x_t(Shape{in, batch});
+    tensor::transpose(x, x_t);
+    Tensor dw(Shape{out, in});
+    tensor::gemm_nt_reference(dy_t, x_t, dw, ref_hw.matmul_policy());
+    Tensor db(Shape{out});
+    tensor::reduce_rows(dy_t, db.data(), ref_hw.reduction_policy());
+    Tensor w_t(Shape{in, out});
+    tensor::transpose(w, w_t);
+    Tensor dx_ref(Shape{batch, in});
+    tensor::gemm_nt_reference(dy, w_t, dx_ref, ref_hw.matmul_policy());
+
+    // The layer accumulates into zeroed grads: 0.0F + -0.0F is +0.0F.
+    Tensor dw_ref(w.shape());
+    tensor::axpy(1.0F, dw.data(), dw_ref.data());
+    Tensor db_ref(Shape{out});
+    tensor::axpy(1.0F, db.data(), db_ref.data());
+    EXPECT_EQ(testutil::bits(layer.params()[0]->grad), testutil::bits(dw_ref));
+    EXPECT_EQ(testutil::bits(layer.params()[1]->grad), testutil::bits(db_ref));
+    EXPECT_EQ(testutil::bits(dx), testutil::bits(dx_ref));
+  }
 }
 
 TEST(Dense, NameMentionsDims) {

@@ -2,6 +2,8 @@
 
 #include "nn/conv2d.h"
 #include "nn/depthwise_conv.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "test_util.h"
 
 namespace nnr::nn {
@@ -163,6 +165,102 @@ TEST(DepthwiseConv2D, BitwiseDeterministicInDeterministicMode) {
   }
   for (std::int64_t i = 0; i < dx1.numel(); ++i) {
     EXPECT_EQ(dx1.at(i), dx2.at(i));
+  }
+}
+
+// DepthwiseConv2D's backward as it was computed before its dW GEMM read the
+// patch matrix in place: a transpose feeding gemm_nt_reference. The reference
+// makes its launches in the layer's order (every channel's forward GEMM, then
+// per channel the dW GEMM, bias reduction and dx GEMM) on a context seeded
+// like the layer's, so under default kernels both draw the same shuffle for
+// every launch. The dW GEMM is [1, 9]: gemm_nn's tiny path.
+TEST(DepthwiseConv2D, BackwardBitwiseEqualToTransposedFormulation) {
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "default kernels");
+    auto make_hw = [&] {
+      return deterministic ? deterministic_context()
+                           : testutil::noisy_context(71);
+    };
+    auto hw = make_hw();
+    auto ref_hw = make_hw();
+    RunContext ctx{.hw = &hw, .training = true};
+    const std::int64_t channels = 3;
+    const std::int64_t taps = 9;
+    DepthwiseConv2D conv(channels, 3);
+    rng::Generator init(73);
+    conv.init_weights(init);
+    Tensor x(Shape{2, channels, 8, 8});
+    fill_random(x, 79);
+    Tensor dy(Shape{2, channels, 8, 8});
+    fill_random(dy, 83);
+    (void)conv.forward(x, ctx);
+    const Tensor dx = conv.backward(dy, ctx);
+
+    const Tensor& w = conv.params()[0]->value;
+    const tensor::ConvGeometry g{.batch = 2,
+                                 .in_channels = 1,
+                                 .in_h = 8,
+                                 .in_w = 8,
+                                 .kernel = 3,
+                                 .stride = 1,
+                                 .pad = 1};
+    const std::int64_t pixels = g.out_pixels();
+    const std::int64_t hw_size = 8 * 8;
+    std::vector<Tensor> cols(static_cast<std::size_t>(channels),
+                             Tensor(Shape{pixels, taps}));
+    Tensor w_row(Shape{1, taps});
+    Tensor out_p(Shape{pixels, 1});
+    for (std::int64_t c = 0; c < channels; ++c) {
+      Tensor channel(Shape{2, 1, 8, 8});
+      for (std::int64_t n = 0; n < 2; ++n) {
+        for (std::int64_t p = 0; p < hw_size; ++p) {
+          channel.at(n * hw_size + p) = x.at((n * channels + c) * hw_size + p);
+        }
+      }
+      tensor::im2col(channel, g, cols[static_cast<std::size_t>(c)]);
+      for (std::int64_t t = 0; t < taps; ++t) w_row.at(t) = w.at(c, t);
+      tensor::gemm_nt_reference(cols[static_cast<std::size_t>(c)], w_row,
+                                out_p, ref_hw.matmul_policy());
+    }
+
+    Tensor dw_ref(w.shape());
+    Tensor db_ref(Shape{channels});
+    Tensor dx_ref(x.shape());
+    Tensor dy_1p(Shape{1, pixels});
+    Tensor dy_p1(Shape{pixels, 1});
+    Tensor cols_tp(Shape{taps, pixels});
+    Tensor dw_row(Shape{1, taps});
+    Tensor w_t1(Shape{taps, 1});
+    Tensor dcols(Shape{pixels, taps});
+    Tensor dchannel(Shape{2, 1, 8, 8});
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t n = 0; n < 2; ++n) {
+        for (std::int64_t p = 0; p < hw_size; ++p) {
+          const float v = dy.at((n * channels + c) * hw_size + p);
+          dy_1p.at(0, n * hw_size + p) = v;
+          dy_p1.at(n * hw_size + p, 0) = v;
+        }
+      }
+      tensor::transpose(cols[static_cast<std::size_t>(c)], cols_tp);
+      tensor::gemm_nt_reference(dy_1p, cols_tp, dw_row,
+                                ref_hw.matmul_policy());
+      for (std::int64_t t = 0; t < taps; ++t) dw_ref.at(c, t) += dw_row.at(t);
+      db_ref.at(c) +=
+          tensor::reduce_sum(dy_1p.data(), ref_hw.reduction_policy());
+      for (std::int64_t t = 0; t < taps; ++t) w_t1.at(t, 0) = w.at(c, t);
+      tensor::gemm_nt_reference(dy_p1, w_t1, dcols, ref_hw.matmul_policy());
+      tensor::col2im(dcols, g, dchannel);
+      for (std::int64_t n = 0; n < 2; ++n) {
+        for (std::int64_t p = 0; p < hw_size; ++p) {
+          dx_ref.at((n * channels + c) * hw_size + p) =
+              dchannel.at(n * hw_size + p);
+        }
+      }
+    }
+
+    EXPECT_EQ(testutil::bits(conv.params()[0]->grad), testutil::bits(dw_ref));
+    EXPECT_EQ(testutil::bits(conv.params()[1]->grad), testutil::bits(db_ref));
+    EXPECT_EQ(testutil::bits(dx), testutil::bits(dx_ref));
   }
 }
 

@@ -3,9 +3,11 @@
 // The contract under test: for every accumulation order the blocked+packed+
 // threaded engine must be *bitwise* identical to the seed triple loop
 // (gemm_nt_reference), for every shape — including k = 0, k below the unroll
-// width, and m/n that are not multiples of the register tile — and for every
-// host thread count. For the shuffled order that holds launch after launch,
-// with both entropy streams in lockstep (one shuffle draw per launch).
+// width, and m/n that are not multiples of the register tile — for every
+// host thread count, and whether B arrives as [N, K] (gemm_nt) or as the
+// untransposed [K, N] (gemm_nn). For the shuffled order that holds launch
+// after launch, with the entropy streams in lockstep (one shuffle draw per
+// launch).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,7 +44,8 @@ struct GemmCase {
 // Awkward shapes on purpose: k = 0, k below the 4-wide unroll, k with a
 // remainder, m/n off the 4x8 tile grid, one comfortably blocked shape, and
 // one k large enough (lanes cap at k / 32) to reach the 40 lanes a V100
-// reduces over.
+// reduces over. For a [K, N] B they reach every column gather: the tiny
+// cutoff, the column remainder and short row blocks.
 const GemmCase kCases[] = {
     {1, 1, 0},  {3, 5, 1},   {4, 8, 3},    {5, 7, 5},    {16, 24, 32},
     {13, 17, 129}, {33, 9, 257}, {64, 64, 64}, {31, 130, 200},
@@ -51,21 +54,32 @@ const GemmCase kCases[] = {
 
 const int kCoreCounts[] = {0, 512, 5120, 100000};  // 1 .. many lanes
 
+// B as the untransposed [K, N] operand gemm_nn reads.
+Tensor transposed(const Tensor& b) {
+  Tensor bt(Shape{b.shape()[1], b.shape()[0]});
+  transpose(b, bt);
+  return bt;
+}
+
 TEST(GemmFastPath, BitwiseEqualToReferenceAllDeterministicOrders) {
   const AccumOrder orders[] = {AccumOrder::kSequential,
                                AccumOrder::kPairwiseTree};
   for (const GemmCase& c : kCases) {
     const Tensor a = random_tensor(Shape{c.m, c.k}, 11 + c.m);
     const Tensor b = random_tensor(Shape{c.n, c.k}, 23 + c.n);
+    const Tensor bt = transposed(b);
     for (AccumOrder order : orders) {
       for (int cores : kCoreCounts) {
         const KernelPolicy policy{
             .order = order, .cuda_cores = cores, .entropy = nullptr};
         Tensor fast(Shape{c.m, c.n});
+        Tensor fast_nn(Shape{c.m, c.n});
         Tensor ref(Shape{c.m, c.n});
         gemm_nt(a, b, fast, policy);
+        gemm_nn(a, bt, fast_nn, policy);
         gemm_nt_reference(a, b, ref, policy);
         expect_bitwise_equal(fast, ref, "gemm fast path");
+        expect_bitwise_equal(fast_nn, ref, "gemm_nn fast path");
       }
     }
   }
@@ -76,6 +90,7 @@ TEST(GemmFastPath, ShuffledOrderBitwiseEqualToReferenceEveryLaunch) {
   for (const GemmCase& c : kCases) {
     const Tensor a = random_tensor(Shape{c.m, c.k}, 31 + c.m);
     const Tensor b = random_tensor(Shape{c.n, c.k}, 37 + c.n);
+    const Tensor bt = transposed(b);
     for (int cores : kCoreCounts) {
       for (int threads : {1, 2, 4}) {
         SCOPED_TRACE(testing::Message() << c.m << "x" << c.n << "x" << c.k
@@ -83,24 +98,33 @@ TEST(GemmFastPath, ShuffledOrderBitwiseEqualToReferenceEveryLaunch) {
                                         << " threads=" << threads);
         runtime::ThreadPool::set_global_threads(threads);
         rng::Generator entropy_fast(99);
+        rng::Generator entropy_nn(99);
         rng::Generator entropy_ref(99);
         const KernelPolicy fast_policy{.order = AccumOrder::kShardedShuffled,
                                        .cuda_cores = cores,
                                        .entropy = &entropy_fast};
+        const KernelPolicy nn_policy{.order = AccumOrder::kShardedShuffled,
+                                     .cuda_cores = cores,
+                                     .entropy = &entropy_nn};
         const KernelPolicy ref_policy{.order = AccumOrder::kShardedShuffled,
                                       .cuda_cores = cores,
                                       .entropy = &entropy_ref};
         for (int launch = 0; launch < kLaunches; ++launch) {
           SCOPED_TRACE(testing::Message() << "launch " << launch);
           Tensor fast(Shape{c.m, c.n});
+          Tensor fast_nn(Shape{c.m, c.n});
           Tensor ref(Shape{c.m, c.n});
           gemm_nt(a, b, fast, fast_policy);
+          gemm_nn(a, bt, fast_nn, nn_policy);
           gemm_nt_reference(a, b, ref, ref_policy);
           expect_bitwise_equal(fast, ref, "shuffled gemm");
+          expect_bitwise_equal(fast_nn, ref, "shuffled gemm_nn");
         }
         // Identical per-launch shuffle consumption: the streams must stay in
         // lockstep after the launches (the IMPL noise model depends on it).
-        EXPECT_EQ(entropy_fast.next_u32(), entropy_ref.next_u32());
+        const std::uint32_t next_ref = entropy_ref.next_u32();
+        EXPECT_EQ(entropy_fast.next_u32(), next_ref);
+        EXPECT_EQ(entropy_nn.next_u32(), next_ref);
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <stdlib.h>
 
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -62,6 +63,15 @@ inline hw::ExecutionContext noisy_context(std::uint64_t entropy_seed) {
 inline void fill_random(tensor::Tensor& t, std::uint64_t seed) {
   rng::Generator gen(seed);
   for (float& v : t.data()) v = gen.uniform(-1.0F, 1.0F);
+}
+
+/// The float32 bit patterns of a tensor's elements: EXPECT_EQ on two of these
+/// is a bitwise comparison, which tells -0.0F from 0.0F.
+inline std::vector<std::uint32_t> bits(const tensor::Tensor& t) {
+  std::vector<std::uint32_t> out;
+  out.reserve(t.data().size());
+  for (float v : t.data()) out.push_back(std::bit_cast<std::uint32_t>(v));
+  return out;
 }
 
 /// Central-difference numerical gradient of a scalar function of `param`.
