@@ -45,12 +45,6 @@ struct DeviceSpec {
   GpuArch arch = GpuArch::kNone;
   int cuda_cores = 0;    // FP32 ALU count (P100: 3584, V100: 5120, ...)
   int tensor_cores = 0;  // dedicated MMA units (0 if absent/unused)
-
-  /// True when the device's compute model is deterministic by construction
-  /// (TPU systolic arrays) rather than via restricted kernel menus.
-  [[nodiscard]] bool inherently_deterministic() const noexcept {
-    return kind == DeviceKind::kTpu;
-  }
 };
 
 /// The devices benchmarked in the paper (§2.2, Fig. 5, Fig. 8).

@@ -92,7 +92,15 @@
 #include <string_view>
 #include <type_traits>
 
+#include "net/frame.h"
+
 namespace nnr::net {
+
+/// Ceiling on one entry's bytes, so the kGet response or kPut request that
+/// carries it fits one frame; 64 bytes cover the key and length fields and
+/// the frame envelope. The daemon serves a larger entry (one a local fs
+/// client wrote) as a miss, and the client drops a larger store unsent.
+inline constexpr std::uint32_t kMaxEntryBytes = kMaxFrameBytes - 64;
 
 enum class Op : std::uint8_t {
   kPing = 1,

@@ -59,9 +59,7 @@ RecvFrameResult recv_frame_ex(Socket& sock) {
       result.status = RecvStatus::kError;
       return result;
   }
-  // Minimum payload: magic + version + opcode + trailer.
-  if (len < kFrameMagic.size() + 2 + sizeof(std::uint64_t) ||
-      len > kMaxFrameBytes) {
+  if (!valid_payload_length(len)) {
     result.status = RecvStatus::kError;
     return result;
   }

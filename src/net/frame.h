@@ -41,6 +41,15 @@ inline constexpr std::string_view kFrameMagic = "NNRC";
 /// RunResult, far below anything that could OOM the daemon on garbage input.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
+/// True when a frame's u32 length prefix is in bounds: at least magic,
+/// version, opcode and checksum trailer, at most kMaxFrameBytes. Every
+/// receive path (recv_frame_ex and the daemon's buffered reader) drops a
+/// connection whose prefix fails it, before allocating a byte.
+[[nodiscard]] constexpr bool valid_payload_length(std::uint32_t len) noexcept {
+  return len >= kFrameMagic.size() + 2 + sizeof(std::uint64_t) &&
+         len <= kMaxFrameBytes;
+}
+
 struct Frame {
   std::uint8_t version = 0;
   std::uint8_t opcode = 0;

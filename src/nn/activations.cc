@@ -40,32 +40,6 @@ Tensor ReLU::backward(const Tensor& grad_output, RunContext& /*ctx*/) {
   return grad_input;
 }
 
-Tensor LeakyReLU::forward(const Tensor& input, RunContext& /*ctx*/) {
-  slope_ = Tensor(input.shape());
-  Tensor output(input.shape());
-  const float* src = input.raw();
-  float* slope = slope_.raw();
-  float* dst = output.raw();
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const bool positive = src[i] > 0.0F;
-    slope[i] = positive ? 1.0F : alpha_;
-    dst[i] = positive ? src[i] : alpha_ * src[i];
-  }
-  return output;
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_output, RunContext& /*ctx*/) {
-  assert(grad_output.shape() == slope_.shape());
-  Tensor grad_input(grad_output.shape());
-  const float* dy = grad_output.raw();
-  const float* slope = slope_.raw();
-  float* dx = grad_input.raw();
-  const std::int64_t n = grad_output.numel();
-  for (std::int64_t i = 0; i < n; ++i) dx[i] = dy[i] * slope[i];
-  return grad_input;
-}
-
 Tensor SiLU::forward(const Tensor& input, RunContext& /*ctx*/) {
   input_ = input;
   Tensor output(input.shape());

@@ -30,24 +30,6 @@ class ReLU final : public Layer {
   tensor::Tensor mask_;  // 1 where input > 0
 };
 
-/// Leaky ReLU: x for x > 0, alpha * x otherwise.
-class LeakyReLU final : public Layer {
- public:
-  explicit LeakyReLU(float alpha = 0.01F) : alpha_(alpha) {}
-
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input,
-                                       RunContext& ctx) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output,
-                                        RunContext& ctx) override;
-  [[nodiscard]] std::string name() const override { return "LeakyReLU"; }
-
-  [[nodiscard]] float alpha() const noexcept { return alpha_; }
-
- private:
-  float alpha_;
-  tensor::Tensor slope_;  // per-element derivative: 1 or alpha
-};
-
 /// SiLU / swish: x * sigmoid(x) (EfficientNet's activation).
 class SiLU final : public Layer {
  public:

@@ -71,82 +71,4 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   return result;
 }
 
-LossResult softmax_cross_entropy_smoothed(
-    const Tensor& logits, std::span<const std::int32_t> labels,
-    float smoothing, RunContext& ctx) {
-  assert(smoothing >= 0.0F && smoothing < 1.0F);
-  if (smoothing == 0.0F) return softmax_cross_entropy(logits, labels, ctx);
-
-  const std::int64_t n = logits.shape()[0];
-  const std::int64_t c = logits.shape()[1];
-  assert(static_cast<std::int64_t>(labels.size()) == n);
-
-  Tensor probs = softmax(logits, ctx);
-
-  // Loss_i = -sum_j q_j log p_j with q = (1-s) onehot + s/c. Split into the
-  // label term and the uniform term; the per-row log-sum is a reduction.
-  const float uniform = smoothing / static_cast<float>(c);
-  const float on_label = 1.0F - smoothing;
-  std::vector<float> per_row(static_cast<std::size_t>(n));
-  const float* p = probs.raw();
-  Tensor log_p(logits.shape());
-  float* lp = log_p.raw();
-  for (std::int64_t i = 0; i < n * c; ++i) {
-    lp[i] = std::log(std::max(p[i], 1e-12F));
-  }
-  std::vector<float> row_logsum(static_cast<std::size_t>(n));
-  tensor::reduce_rows(log_p, row_logsum, ctx.hw->reduction_policy());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float label_lp =
-        lp[i * c + labels[static_cast<std::size_t>(i)]];
-    per_row[static_cast<std::size_t>(i)] =
-        -on_label * label_lp - uniform * row_logsum[static_cast<std::size_t>(i)];
-  }
-  const float loss = tensor::reduce_sum(per_row, ctx.hw->reduction_policy()) /
-                     static_cast<float>(n);
-
-  LossResult result;
-  result.loss = loss;
-  // grad = (p - q) / n, same functional form as the unsmoothed case.
-  result.grad_logits = probs;
-  float* g = result.grad_logits.raw();
-  const float inv_n = 1.0F / static_cast<float>(n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    g[i * c + labels[static_cast<std::size_t>(i)]] -= on_label;
-    for (std::int64_t j = 0; j < c; ++j) {
-      g[i * c + j] = (g[i * c + j] - uniform) * inv_n;
-    }
-  }
-  return result;
-}
-
-LossResult sigmoid_bce(const Tensor& logits, const Tensor& targets,
-                       RunContext& ctx) {
-  assert(logits.shape() == targets.shape());
-  const std::int64_t n = logits.shape()[0];
-  const std::int64_t a = logits.shape()[1];
-  const std::int64_t total = n * a;
-
-  LossResult result;
-  result.grad_logits = Tensor(logits.shape());
-  std::vector<float> per_element(static_cast<std::size_t>(total));
-  const float* z = logits.raw();
-  const float* y = targets.raw();
-  float* g = result.grad_logits.raw();
-  const float inv_total = 1.0F / static_cast<float>(total);
-  for (std::int64_t i = 0; i < total; ++i) {
-    // Numerically stable BCE-with-logits:
-    //   loss = max(z,0) - z*y + log(1 + exp(-|z|))
-    const float zi = z[i];
-    const float yi = y[i];
-    per_element[static_cast<std::size_t>(i)] =
-        std::max(zi, 0.0F) - zi * yi + std::log1p(std::exp(-std::fabs(zi)));
-    const float sig = 1.0F / (1.0F + std::exp(-zi));
-    g[i] = (sig - yi) * inv_total;
-  }
-  result.loss =
-      tensor::reduce_sum(per_element, ctx.hw->reduction_policy()) * inv_total;
-  return result;
-}
-
 }  // namespace nnr::nn

@@ -25,19 +25,4 @@ struct LossResult {
     const tensor::Tensor& logits, std::span<const std::int32_t> labels,
     RunContext& ctx);
 
-/// Mean softmax cross-entropy against label-smoothed targets
-/// q = (1 - smoothing) * onehot + smoothing / classes (Szegedy et al. 2015,
-/// the Inception-v3 recipe the paper profiles). smoothing == 0 reduces to
-/// softmax_cross_entropy exactly.
-[[nodiscard]] LossResult softmax_cross_entropy_smoothed(
-    const tensor::Tensor& logits, std::span<const std::int32_t> labels,
-    float smoothing, RunContext& ctx);
-
-/// Mean per-attribute sigmoid binary cross-entropy for multi-label tasks
-/// (the CelebA-style 40-attribute head). logits/targets: [N, attrs],
-/// targets in {0, 1}.
-[[nodiscard]] LossResult sigmoid_bce(const tensor::Tensor& logits,
-                                     const tensor::Tensor& targets,
-                                     RunContext& ctx);
-
 }  // namespace nnr::nn

@@ -59,69 +59,6 @@ Tensor MaxPool2x2::backward(const Tensor& grad_output, RunContext& /*ctx*/) {
   return grad_input;
 }
 
-Tensor AvgPool2x2::forward(const Tensor& input, RunContext& /*ctx*/) {
-  assert(input.shape().rank() == 4);
-  input_shape_ = input.shape();
-  const std::int64_t n = input.shape()[0];
-  const std::int64_t c = input.shape()[1];
-  const std::int64_t h = input.shape()[2];
-  const std::int64_t w = input.shape()[3];
-  const std::int64_t oh = h / 2;
-  const std::int64_t ow = w / 2;
-
-  Tensor output(Shape{n, c, oh, ow});
-  const float* src = input.raw();
-  float* dst = output.raw();
-  std::int64_t out_idx = 0;
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      const std::int64_t plane = (ni * c + ci) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-          const std::int64_t base = plane + (2 * oy) * w + 2 * ox;
-          // Fixed tap order: row-major within the window.
-          dst[out_idx] =
-              (src[base] + src[base + 1] + src[base + w] + src[base + w + 1]) *
-              0.25F;
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor AvgPool2x2::backward(const Tensor& grad_output, RunContext& /*ctx*/) {
-  const std::int64_t n = input_shape_[0];
-  const std::int64_t c = input_shape_[1];
-  const std::int64_t h = input_shape_[2];
-  const std::int64_t w = input_shape_[3];
-  const std::int64_t oh = h / 2;
-  const std::int64_t ow = w / 2;
-  assert(grad_output.shape() == (Shape{n, c, oh, ow}));
-
-  Tensor grad_input(input_shape_);
-  grad_input.fill(0.0F);
-  const float* dy = grad_output.raw();
-  float* dx = grad_input.raw();
-  std::int64_t out_idx = 0;
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      const std::int64_t plane = (ni * c + ci) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-          const std::int64_t base = plane + (2 * oy) * w + 2 * ox;
-          const float g = dy[out_idx] * 0.25F;
-          dx[base] += g;
-          dx[base + 1] += g;
-          dx[base + w] += g;
-          dx[base + w + 1] += g;
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 Tensor GlobalAvgPool::forward(const Tensor& input, RunContext& ctx) {
   assert(input.shape().rank() == 4);
   input_shape_ = input.shape();

@@ -25,25 +25,6 @@ class MaxPool2x2 final : public Layer {
   std::vector<std::int64_t> argmax_;  // flat input index per output element
 };
 
-/// 2x2 average pooling with stride 2. The 4-tap window sum is evaluated in a
-/// fixed tap order — windows this small have one rounding-relevant order on
-/// real hardware too (a single thread reduces a window), so average pooling
-/// contributes no implementation noise. Odd trailing rows/columns are
-/// dropped, matching MaxPool2x2.
-class AvgPool2x2 final : public Layer {
- public:
-  AvgPool2x2() = default;
-
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input,
-                                       RunContext& ctx) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output,
-                                        RunContext& ctx) override;
-  [[nodiscard]] std::string name() const override { return "AvgPool2x2"; }
-
- private:
-  tensor::Shape input_shape_;
-};
-
 /// Global average pooling NCHW -> [N, C]. The spatial mean is a reduction and
 /// runs under the device reduction policy.
 class GlobalAvgPool final : public Layer {

@@ -19,17 +19,6 @@ Adam::Adam(std::vector<nn::Param*> params, AdamConfig config)
   }
 }
 
-std::vector<std::pair<std::string, std::vector<float>*>>
-Adam::mutable_state() {
-  std::vector<std::pair<std::string, std::vector<float>*>> state;
-  state.reserve(2 * m_.size());
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    state.emplace_back("adam.m." + std::to_string(i), &m_[i]);
-    state.emplace_back("adam.v." + std::to_string(i), &v_[i]);
-  }
-  return state;
-}
-
 void Adam::step(float learning_rate) {
   ++steps_;
   const auto t = static_cast<float>(steps_);

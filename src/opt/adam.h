@@ -1,10 +1,10 @@
 // Adam / AdamW (Kingma & Ba 2015; Loshchilov & Hutter 2019).
 //
-// Not used by the paper's recipes (Appendix B is SGD throughout) but
-// provided so downstream users can measure how adaptive optimizers interact
-// with tooling noise: Adam's per-weight second-moment normalization rescales
-// gradient perturbations, which changes how IMPL noise propagates into the
-// weight trajectory (see bench/ablation_algo_channels for the harness hook).
+// Not used by the paper's recipes (Appendix B is SGD throughout). It runs in
+// the ablation_optimizer study (bench/ablation_optimizer.cc), which measures
+// how adaptive optimizers interact with tooling noise: Adam's per-weight
+// second-moment normalization rescales gradient perturbations, which changes
+// how IMPL noise propagates into the weight trajectory.
 #pragma once
 
 #include <vector>
@@ -31,9 +31,6 @@ class Adam final : public Optimizer {
   void step(float learning_rate) override;
 
   [[nodiscard]] const AdamConfig& config() const noexcept { return config_; }
-
-  [[nodiscard]] std::vector<std::pair<std::string, std::vector<float>*>>
-  mutable_state() override;
 
  private:
   AdamConfig config_;

@@ -4,12 +4,10 @@
 // for weight j reads only grad[j] and per-weight state. They perform no
 // cross-element reduction, so the optimizer itself injects no implementation
 // noise — every bit of IMPL divergence reaches the weights through the
-// gradients computed by the kernel policies. (Gradient clipping, which does
-// reduce, lives in clip.h and documents its ordering contract there.)
+// gradients computed by the kernel policies.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,20 +28,6 @@ class Optimizer {
 
   /// Number of updates applied so far (drives Adam bias correction).
   [[nodiscard]] std::int64_t steps_taken() const noexcept { return steps_; }
-
-  /// Restores the step counter (checkpoint load). State slots are restored
-  /// separately through mutable_state().
-  void set_steps_taken(std::int64_t steps) noexcept { steps_ = steps; }
-
-  /// Named persistent state slots (momentum velocities, Adam moments),
-  /// ordered deterministically. Serializers write/read these verbatim so a
-  /// resumed optimizer continues bitwise-identically. Pointers remain valid
-  /// for the optimizer's lifetime; slot sizes must not be changed.
-  [[nodiscard]] virtual std::vector<
-      std::pair<std::string, std::vector<float>*>>
-  mutable_state() {
-    return {};
-  }
 
   [[nodiscard]] const std::vector<nn::Param*>& params() const noexcept {
     return params_;

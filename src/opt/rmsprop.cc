@@ -17,17 +17,6 @@ RmsProp::RmsProp(std::vector<nn::Param*> params, RmsPropConfig config)
   }
 }
 
-std::vector<std::pair<std::string, std::vector<float>*>>
-RmsProp::mutable_state() {
-  std::vector<std::pair<std::string, std::vector<float>*>> state;
-  state.reserve(2 * mean_square_.size());
-  for (std::size_t i = 0; i < mean_square_.size(); ++i) {
-    state.emplace_back("rmsprop.ms." + std::to_string(i), &mean_square_[i]);
-    state.emplace_back("rmsprop.vel." + std::to_string(i), &velocity_[i]);
-  }
-  return state;
-}
-
 void RmsProp::step(float learning_rate) {
   ++steps_;
   for (std::size_t i = 0; i < params_.size(); ++i) {

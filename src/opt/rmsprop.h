@@ -26,9 +26,6 @@ class RmsProp final : public Optimizer {
     return config_;
   }
 
-  [[nodiscard]] std::vector<std::pair<std::string, std::vector<float>*>>
-  mutable_state() override;
-
  private:
   RmsPropConfig config_;
   std::vector<std::vector<float>> mean_square_;  // parallel to params_

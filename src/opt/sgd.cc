@@ -12,16 +12,6 @@ Sgd::Sgd(std::vector<nn::Param*> params, float momentum, float weight_decay)
   }
 }
 
-std::vector<std::pair<std::string, std::vector<float>*>>
-Sgd::mutable_state() {
-  std::vector<std::pair<std::string, std::vector<float>*>> state;
-  state.reserve(velocity_.size());
-  for (std::size_t i = 0; i < velocity_.size(); ++i) {
-    state.emplace_back("sgd.velocity." + std::to_string(i), &velocity_[i]);
-  }
-  return state;
-}
-
 void Sgd::step(float learning_rate) {
   ++steps_;
   for (std::size_t i = 0; i < params_.size(); ++i) {

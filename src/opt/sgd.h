@@ -24,9 +24,6 @@ class Sgd final : public Optimizer {
   [[nodiscard]] float momentum() const noexcept { return momentum_; }
   [[nodiscard]] float weight_decay() const noexcept { return weight_decay_; }
 
-  [[nodiscard]] std::vector<std::pair<std::string, std::vector<float>*>>
-  mutable_state() override;
-
  private:
   float momentum_;
   float weight_decay_;

@@ -47,23 +47,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string render_markdown(const core::TextTable& table) {
-  std::string out;
-  auto emit = [&out](const std::vector<std::string>& cells) {
-    out += "|";
-    for (const std::string& c : cells) {
-      out += " " + c + " |";
-    }
-    out += "\n";
-  };
-  emit(table.headers());
-  out += "|";
-  for (std::size_t c = 0; c < table.headers().size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& row : table.rows()) emit(row);
-  return out;
-}
-
 std::string render_json(const core::TextTable& table) {
   std::string out = "{\n  \"headers\": [";
   const auto& headers = table.headers();

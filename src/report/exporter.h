@@ -18,9 +18,6 @@
 
 namespace nnr::report {
 
-/// Markdown pipe-table rendering of a TextTable (for EXPERIMENTS.md).
-[[nodiscard]] std::string render_markdown(const core::TextTable& table);
-
 /// JSON rendering: {"headers": [...], "rows": [{header: cell, ...}, ...]}.
 /// Cells stay strings — benches pre-format numbers, and round-tripping the
 /// formatted value is what plotting scripts want.

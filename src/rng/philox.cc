@@ -58,9 +58,4 @@ std::uint64_t Philox::next_u64() noexcept {
   return lo | (hi << 32);
 }
 
-void Philox::skip_blocks(std::uint64_t n_blocks) noexcept {
-  block_index_ += n_blocks;
-  buffered_ = 0;
-}
-
 }  // namespace nnr::rng

@@ -47,10 +47,6 @@ class Philox {
   /// Next 64 random bits.
   [[nodiscard]] std::uint64_t next_u64() noexcept;
 
-  /// Skips ahead `n_blocks` 128-bit blocks in O(1). Discards any buffered
-  /// words from the current block.
-  void skip_blocks(std::uint64_t n_blocks) noexcept;
-
   /// The (seed-derived) key of this stream; exposed for test inspection.
   [[nodiscard]] Key2x32 key() const noexcept { return key_; }
 

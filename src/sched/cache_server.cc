@@ -264,8 +264,7 @@ bool CacheServer::service_readable(Conn& conn) {
   while (conn.in.size() - off >= sizeof(std::uint32_t)) {
     std::uint32_t len = 0;
     std::memcpy(&len, conn.in.data() + off, sizeof(len));
-    if (len < net::kFrameMagic.size() + 2 + sizeof(std::uint64_t) ||
-        len > net::kMaxFrameBytes) {
+    if (!net::valid_payload_length(len)) {
       return false;  // garbage length: drop the connection
     }
     if (conn.in.size() - off - sizeof(len) < len) break;  // incomplete
@@ -438,7 +437,7 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
       // An entry too large for one frame (possible only if it was written
       // by a local fs client — remote PUTs are size-checked) is served as
       // a miss: the requester retrains, nobody's connection drops.
-      if (bytes.has_value() && bytes->size() <= net::kMaxFrameBytes - 64) {
+      if (bytes.has_value() && bytes->size() <= net::kMaxEntryBytes) {
         BodyWriter w;
         w.put(static_cast<std::uint8_t>(Status::kFound));
         w.put(static_cast<std::uint64_t>(bytes->size()));

@@ -233,8 +233,7 @@ FleetWorkerSummary fleet_run_worker(ShardedCacheBackend& tier) {
     core::RunResult result;
     bool trained_ok = true;
     try {
-      result = cell->runner ? cell->runner(cell->job, ids)
-                            : core::train_replicate(cell->job, ids);
+      result = cell->train(ids);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "[worker] %s/%s r=%u: training failed: %s\n",
                    work.study.c_str(), cell->id.c_str(), work.replicate,

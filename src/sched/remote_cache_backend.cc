@@ -268,9 +268,8 @@ bool RemoteCacheBackend::store(const CellKey& key,
                                                          key.lo);
   // An entry too large for one frame must fail as a dropped store, not by
   // sending a frame the server rejects — that would cost this client its
-  // connection and, with it, every lease it is training under. 64 bytes
-  // covers the key/length fields and the frame envelope.
-  if (bytes.size() > net::kMaxFrameBytes - 64) return false;
+  // connection and, with it, every lease it is training under.
+  if (bytes.size() > net::kMaxEntryBytes) return false;
   BodyWriter w;
   w.put(key.hi);
   w.put(key.lo);

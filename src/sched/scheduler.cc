@@ -17,41 +17,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-core::RunResult train_one(const Cell& cell, core::ReplicateIds ids) {
-  if (cell.runner) return cell.runner(cell.job, ids);
-  return core::train_replicate(cell.job, ids);
-}
-
-/// Progress/callback bookkeeping shared by the pool workers. Counters are
+/// Progress bookkeeping shared by the pool workers. Counters are
 /// worker-local atomics (per-study caches are only safe to read after the
 /// run), so a progress line never races the cache's internal stats updates.
 class ProgressReporter {
  public:
-  ProgressReporter(const RunOptions& opts, std::int64_t total)
-      : opts_(opts), total_(total), start_(Clock::now()) {}
+  ProgressReporter(bool print, std::int64_t total)
+      : print_(print), total_(total), start_(Clock::now()) {}
 
-  void complete(std::size_t study, std::size_t cell, std::int64_t replicate,
-                bool from_cache, bool was_trained) {
+  void complete(bool from_cache, bool was_trained) {
     if (from_cache) hits_.fetch_add(1, std::memory_order_relaxed);
     if (was_trained) trained_.fetch_add(1, std::memory_order_relaxed);
-    std::int64_t done = 0;
-    if (opts_.on_replicate) {
-      // Claim the completion slot and fire the callback under one mutex, so
-      // serialized callbacks see `done` strictly increasing 1..total.
-      std::lock_guard<std::mutex> lock(callback_mu_);
-      done = done_.fetch_add(1, std::memory_order_relaxed) + 1;
-      ReplicateEvent event;
-      event.study = study;
-      event.cell = cell;
-      event.replicate = replicate;
-      event.from_cache = from_cache;
-      event.done = done;
-      event.total = total_;
-      opts_.on_replicate(event);
-    } else {
-      done = done_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    if (opts_.progress) maybe_emit(done);
+    const std::int64_t done = done_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (print_) maybe_emit(done);
   }
 
  private:
@@ -79,13 +57,12 @@ class ProgressReporter {
     printer_.emit(line, elapsed_ms, /*force=*/done == total_);
   }
 
-  const RunOptions& opts_;
+  const bool print_;
   const std::int64_t total_;
   const Clock::time_point start_;
   std::atomic<std::int64_t> done_{0};
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> trained_{0};
-  std::mutex callback_mu_;
   ProgressPrinter printer_;
 };
 
@@ -149,7 +126,8 @@ BatchResult run_batch(const std::vector<const StudyPlan*>& plans,
     scheduled.push_back(i);
   }
 
-  ProgressReporter progress(opts, static_cast<std::int64_t>(items.size()));
+  ProgressReporter progress(opts.progress,
+                            static_cast<std::int64_t>(items.size()));
   const int max_workers = opts.threads < 0 ? 1 : opts.threads;
   std::vector<std::atomic<std::int64_t>> trained_per_study(plans.size());
   std::vector<std::atomic<std::int64_t>> coalesced_per_study(plans.size());
@@ -164,21 +142,38 @@ BatchResult run_batch(const std::vector<const StudyPlan*>& plans,
   // no other thread ever touches them).
   const auto finish = [&](std::size_t i, bool from_cache, bool was_trained) {
     const WorkItem& item = items[i];
-    progress.complete(item.study, item.cell, item.replicate, from_cache,
-                      was_trained);
+    progress.complete(from_cache, was_trained);
     for (const std::size_t f : followers[i]) {
       const WorkItem& dup = items[f];
       slot_of(dup) = slot_of(item);
       coalesced_per_study[dup.study].fetch_add(1, std::memory_order_relaxed);
-      progress.complete(dup.study, dup.cell, dup.replicate,
-                        /*from_cache=*/true, /*was_trained=*/false);
+      progress.complete(/*from_cache=*/true, /*was_trained=*/false);
     }
   };
 
-  const auto train_into = [&](const Cell& cell, const core::ReplicateIds& ids,
-                              core::RunResult& slot, std::size_t study) {
-    slot = train_one(cell, ids);
-    trained_per_study[study].fetch_add(1, std::memory_order_relaxed);
+  const auto train_into = [&](const WorkItem& item) {
+    const Cell& cell = plans[item.study]->cells()[item.cell];
+    slot_of(item) = cell.train(cell.ids_for(item.replicate));
+    trained_per_study[item.study].fetch_add(1, std::memory_order_relaxed);
+  };
+
+  // Settles a keyed replicate after its claim: phase 1's try_claim, or
+  // phase 2's blocking claim, which returns none only on I/O failure.
+  // Double-check first: a peer may have stored the key since the miss; that
+  // one real miss is already counted, so this load must not count another.
+  // Otherwise train it, and store it only under a held claim.
+  const auto settle_claimed = [&](std::size_t idx, bool claim_held) {
+    const WorkItem& item = items[idx];
+    CacheStats* run_stats = &result.studies[item.study].cache;
+    if (auto cached =
+            opts.cache->load(item.key, run_stats, /*count_miss=*/false)) {
+      slot_of(item) = std::move(*cached);
+      finish(idx, true, false);
+      return;
+    }
+    train_into(item);
+    if (claim_held) opts.cache->store(item.key, slot_of(item), run_stats);
+    finish(idx, false, true);
   };
 
   std::mutex deferred_mu;
@@ -194,34 +189,17 @@ BatchResult run_batch(const std::vector<const StudyPlan*>& plans,
         for (std::int64_t i = i0; i < i1; ++i) {
           const std::size_t idx = scheduled[static_cast<std::size_t>(i)];
           const WorkItem& item = items[idx];
-          const Cell& cell = plans[item.study]->cells()[item.cell];
-          const core::ReplicateIds ids = cell.ids_for(item.replicate);
-          core::RunResult& slot = slot_of(item);
-          CacheStats* run_stats = &result.studies[item.study].cache;
           if (opts.cache == nullptr || !item.keyed) {
-            train_into(cell, ids, slot, item.study);
+            train_into(item);
             finish(idx, false, true);
             continue;
           }
-          const CellKey key = item.key;
-          if (auto cached = opts.cache->load(key, run_stats)) {
-            slot = std::move(*cached);
+          if (auto cached = opts.cache->load(
+                  item.key, &result.studies[item.study].cache)) {
+            slot_of(item) = std::move(*cached);
             finish(idx, true, false);
-            continue;
-          }
-          if (auto claim = opts.cache->try_claim(key)) {
-            // Double-check under the claim: a peer may have stored this key
-            // between our miss and our claim. The replicate's one real miss
-            // is already counted, so this load must not count another.
-            if (auto cached = opts.cache->load(key, run_stats,
-                                               /*count_miss=*/false)) {
-              slot = std::move(*cached);
-              finish(idx, true, false);
-              continue;
-            }
-            train_into(cell, ids, slot, item.study);
-            opts.cache->store(key, slot, run_stats);
-            finish(idx, false, true);
+          } else if (auto claim = opts.cache->try_claim(item.key)) {
+            settle_claimed(idx, /*claim_held=*/true);
           } else {
             std::lock_guard<std::mutex> lock(deferred_mu);
             deferred.push_back(idx);
@@ -244,25 +222,8 @@ BatchResult run_batch(const std::vector<const StudyPlan*>& plans,
         [&](std::int64_t d0, std::int64_t d1) {
           for (std::int64_t d = d0; d < d1; ++d) {
             const std::size_t idx = deferred[static_cast<std::size_t>(d)];
-            const WorkItem& item = items[idx];
-            const Cell& cell = plans[item.study]->cells()[item.cell];
-            const core::ReplicateIds ids = cell.ids_for(item.replicate);
-            core::RunResult& slot = slot_of(item);
-            CacheStats* run_stats = &result.studies[item.study].cache;
-            const CellKey key = item.key;
-            auto claim = opts.cache->claim(key);
-            // The deferral's original miss is already counted (phase 1).
-            if (auto cached = opts.cache->load(key, run_stats,
-                                               /*count_miss=*/false)) {
-              slot = std::move(*cached);
-              finish(idx, true, false);
-              continue;
-            }
-            train_into(cell, ids, slot, item.study);
-            if (claim.has_value()) {
-              opts.cache->store(key, slot, run_stats);
-            }
-            finish(idx, false, true);
+            const auto claim = opts.cache->claim(items[idx].key);
+            settle_claimed(idx, claim.has_value());
           }
         },
         max_workers);

@@ -25,7 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/table.h"
@@ -33,18 +33,6 @@
 #include "sched/study_plan.h"
 
 namespace nnr::sched {
-
-/// One completed replicate, as seen by RunOptions::on_replicate.
-struct ReplicateEvent {
-  std::size_t study = 0;       // index into the batch's plan list (0 for
-                               // run_plan)
-  std::size_t cell = 0;        // index into that plan's cells()
-  std::int64_t replicate = 0;  // replicate index within that cell
-  bool from_cache = false;     // served (cache hit or coalesced duplicate)
-                               // vs trained here
-  std::int64_t done = 0;       // replicates completed so far (this one incl.)
-  std::int64_t total = 0;      // replicates in the whole batch
-};
 
 struct RunOptions {
   /// Host-thread cap for this run: > 0 caps the fan-out below the shared
@@ -57,10 +45,6 @@ struct RunOptions {
   /// When set, cacheable replicates are served from / stored into this
   /// backend (sched/cache_backend.h). nullptr trains everything.
   CacheBackend* cache = nullptr;
-  /// Called after each replicate completes (loaded, trained, or filled
-  /// from a coalesced leader). Invocations are serialized (one at a time),
-  /// but arrive from pool worker threads, not the caller's thread.
-  std::function<void(const ReplicateEvent&)> on_replicate;
   /// Emit periodic "[study] <done>/<total> cells, trained=..., hits=...,
   /// eta=..." lines on stderr while the grid runs.
   bool progress = false;

@@ -55,6 +55,12 @@ struct Cell {
            (runner == nullptr || !runner_id.empty());
   }
 
+  /// Trains one replicate of this cell: `runner` when set, else
+  /// core::train_replicate.
+  [[nodiscard]] core::RunResult train(core::ReplicateIds ids) const {
+    return runner ? runner(job, ids) : core::train_replicate(job, ids);
+  }
+
   /// Replicate ids for index r: explicit_ids[r] when scheduled factorially,
   /// else the diagonal {r, r} (identical to core::train_replicate(job, r)).
   [[nodiscard]] core::ReplicateIds ids_for(std::int64_t r) const {

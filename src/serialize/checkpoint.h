@@ -22,7 +22,6 @@
 #include <string>
 
 #include "nn/model.h"
-#include "opt/optimizer.h"
 
 namespace nnr::serialize {
 
@@ -41,22 +40,5 @@ void save_model(const std::string& path, nn::Model& model);
 /// structure (entry count, names, shapes, in order) as the saved model.
 /// Gradients and all layer caches are left untouched.
 void load_model(const std::string& path, nn::Model& model);
-
-/// Number of (param + buffer) entries a checkpoint of `model` would hold.
-[[nodiscard]] std::size_t checkpoint_entry_count(nn::Model& model);
-
-/// Writes model state AND optimizer state (momentum velocities / Adam
-/// moments / step counter). Resuming from a training-state checkpoint is
-/// bitwise indistinguishable from never stopping, with no optimizer-restart
-/// caveat (magic "NNRTRNS1"; model-only files use "NNRCKPT1"). Replaces
-/// `path` atomically, like save_model.
-void save_training_state(const std::string& path, nn::Model& model,
-                         opt::Optimizer& optimizer);
-
-/// Restores model and optimizer state saved by save_training_state. The
-/// optimizer must have the same structure (slot names and sizes) as the
-/// saved one — in practice: same optimizer type over the same model.
-void load_training_state(const std::string& path, nn::Model& model,
-                         opt::Optimizer& optimizer);
 
 }  // namespace nnr::serialize

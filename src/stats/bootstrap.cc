@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "metrics/running_stat.h"
 
@@ -108,27 +107,6 @@ BootstrapCI bootstrap_pairwise_ci(
     stats.push_back(s.count() > 0 ? s.mean() : point.mean());
   }
   return ci_from_replicates(point.mean(), stats, confidence);
-}
-
-double jackknife_mean_stderr(std::span<const double> sample) {
-  const std::size_t n = sample.size();
-  assert(n >= 2);
-  const double total = [&] {
-    double t = 0.0;
-    for (const double x : sample) t += x;
-    return t;
-  }();
-  // Leave-one-out means; for the mean statistic the jackknife SE reduces to
-  // the classical s/sqrt(n), computed here in the generic form so the
-  // function documents the estimator it implements.
-  metrics::RunningStat loo;
-  for (const double x : sample) {
-    loo.add((total - x) / static_cast<double>(n - 1));
-  }
-  const double factor =
-      static_cast<double>(n - 1) / static_cast<double>(n);
-  return std::sqrt(factor * loo.stddev_population() *
-                   loo.stddev_population() * static_cast<double>(n));
 }
 
 }  // namespace nnr::stats

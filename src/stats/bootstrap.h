@@ -64,8 +64,4 @@ using Statistic = std::function<double(std::span<const double>)>;
     const std::vector<std::vector<double>>& pair_stat, int resamples,
     double confidence, rng::Generator& gen);
 
-/// Jackknife (leave-one-out) standard error of the sample mean — a cheap
-/// deterministic cross-check on the bootstrap widths.
-[[nodiscard]] double jackknife_mean_stderr(std::span<const double> sample);
-
 }  // namespace nnr::stats

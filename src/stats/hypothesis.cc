@@ -105,39 +105,4 @@ TestResult brown_forsythe_test(std::span<const std::vector<double>> groups) {
   return r;
 }
 
-TestResult permutation_mean_test(std::span<const double> a,
-                                 std::span<const double> b, int permutations,
-                                 rng::Generator& gen) {
-  assert(!a.empty() && !b.empty() && permutations > 0);
-  const double observed = std::fabs(mean_of(a) - mean_of(b));
-
-  std::vector<double> pooled;
-  pooled.reserve(a.size() + b.size());
-  pooled.insert(pooled.end(), a.begin(), a.end());
-  pooled.insert(pooled.end(), b.begin(), b.end());
-
-  int at_least_as_extreme = 0;
-  for (int p = 0; p < permutations; ++p) {
-    gen.shuffle(std::span<double>(pooled));
-    const double ma = mean_of({pooled.data(), a.size()});
-    const double mb = mean_of({pooled.data() + a.size(), b.size()});
-    if (std::fabs(ma - mb) >= observed - 1e-12) ++at_least_as_extreme;
-  }
-  TestResult r;
-  r.statistic = observed;
-  r.df = 0.0;
-  // Add-one (Phipson-Smyth) correction: the observed labeling is itself one
-  // of the permutations, so the p-value is bounded below by 1/(B+1).
-  r.p_value = (at_least_as_extreme + 1.0) / (permutations + 1.0);
-  return r;
-}
-
-TestResult sign_test(int successes, int trials) {
-  TestResult r;
-  r.statistic = static_cast<double>(successes);
-  r.df = static_cast<double>(trials);
-  r.p_value = binomial_two_sided_p(successes, trials);
-  return r;
-}
-
 }  // namespace nnr::stats

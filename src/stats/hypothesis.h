@@ -11,21 +11,16 @@
 //   - Brown-Forsythe (median-centered Levene): equality of *variances*
 //     across regimes — the correct test for STDDEV(Accuracy) gaps, robust
 //     to the non-normality of accuracy over replicates.
-//   - Permutation test: exact, assumption-free mean-difference test for the
-//     tiny samples (n = 5..10) the protocol produces.
-//   - Sign test: paired regime comparisons across many (task, device) cells.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "rng/generator.h"
-
 namespace nnr::stats {
 
 struct TestResult {
-  double statistic = 0.0;  // t, F, or observed mean difference
-  double df = 0.0;         // degrees of freedom (0 when not applicable)
+  double statistic = 0.0;  // t or F
+  double df = 0.0;         // degrees of freedom
   double p_value = 1.0;    // two-sided unless documented otherwise
 };
 
@@ -41,17 +36,5 @@ struct TestResult {
 /// observations.
 [[nodiscard]] TestResult brown_forsythe_test(
     std::span<const std::vector<double>> groups);
-
-/// Two-sided permutation test on the difference of means. `permutations`
-/// random relabelings are drawn from `gen`; the p-value includes the
-/// observed labeling (add-one correction) so it is never exactly zero.
-[[nodiscard]] TestResult permutation_mean_test(std::span<const double> a,
-                                               std::span<const double> b,
-                                               int permutations,
-                                               rng::Generator& gen);
-
-/// Exact two-sided sign test: of `trials` paired comparisons, `successes`
-/// favored the first member. Ties must be excluded by the caller.
-[[nodiscard]] TestResult sign_test(int successes, int trials);
 
 }  // namespace nnr::stats

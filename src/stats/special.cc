@@ -52,12 +52,6 @@ double beta_continued_fraction(double a, double b, double x) {
   return h;
 }
 
-double binomial_log_pmf(int k, int n) {
-  // log C(n, k) + n * log(1/2)
-  return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0) -
-         n * std::log(2.0);
-}
-
 }  // namespace
 
 double log_gamma(double x) {
@@ -89,10 +83,6 @@ double incomplete_beta(double a, double b, double x) {
   return 1.0 - std::exp(log_front) * beta_continued_fraction(b, a, 1.0 - x) / b;
 }
 
-double normal_cdf(double z) {
-  return 0.5 * std::erfc(-z / std::sqrt(2.0));
-}
-
 double student_t_two_sided_p(double t, double df) {
   assert(df > 0.0);
   if (!std::isfinite(t)) return 0.0;
@@ -107,21 +97,6 @@ double f_upper_tail_p(double f, double df1, double df2) {
   if (!std::isfinite(f)) return 0.0;
   // P(F >= f) = I_{df2/(df2 + df1 f)}(df2/2, df1/2).
   return incomplete_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * f));
-}
-
-double binomial_two_sided_p(int successes, int trials) {
-  assert(successes >= 0 && trials >= 0 && successes <= trials);
-  if (trials == 0) return 1.0;
-  const double observed = binomial_log_pmf(successes, trials);
-  // Two-sided "small p-values" definition: sum the probabilities of every
-  // outcome no more likely than the observed one. 1e-7 slack absorbs
-  // log-space rounding so the observed outcome always counts itself.
-  double p = 0.0;
-  for (int k = 0; k <= trials; ++k) {
-    const double lp = binomial_log_pmf(k, trials);
-    if (lp <= observed + 1e-7) p += std::exp(lp);
-  }
-  return p < 1.0 ? p : 1.0;
 }
 
 }  // namespace nnr::stats

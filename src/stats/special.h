@@ -1,6 +1,6 @@
 // Special functions backing the hypothesis tests: log-gamma, regularized
-// incomplete beta, and the Student-t / F / normal distribution tails built on
-// them. Everything is double precision, measurement-side code (see
+// incomplete beta, and the Student-t and F distribution tails built on them.
+// Everything is double precision, measurement-side code (see
 // metrics/running_stat.h for the convention: analysis code must not itself
 // contribute rounding noise to the simulated device under study).
 //
@@ -19,18 +19,10 @@ namespace nnr::stats {
 /// x in [0, 1]. I_0 = 0, I_1 = 1, and I_x(a, b) = 1 - I_{1-x}(b, a).
 [[nodiscard]] double incomplete_beta(double a, double b, double x);
 
-/// Standard normal CDF Φ(z).
-[[nodiscard]] double normal_cdf(double z);
-
 /// Two-sided tail probability of a Student-t variate: P(|T_df| >= |t|).
 [[nodiscard]] double student_t_two_sided_p(double t, double df);
 
 /// Upper tail of an F(df1, df2) variate: P(F >= f).
 [[nodiscard]] double f_upper_tail_p(double f, double df1, double df2);
-
-/// Exact two-sided binomial test p-value for `successes` out of `trials`
-/// under success probability 0.5 (the sign test). Sums all outcomes with
-/// probability <= the observed outcome's probability.
-[[nodiscard]] double binomial_two_sided_p(int successes, int trials);
 
 }  // namespace nnr::stats

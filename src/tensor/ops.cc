@@ -9,21 +9,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-void scale(std::span<float> x, float alpha) noexcept {
-  for (float& v : x) v *= alpha;
-}
-
-void copy_into(std::span<const float> src, std::span<float> dst) noexcept {
-  assert(src.size() == dst.size());
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i];
-}
-
-double squared_norm(std::span<const float> x) noexcept {
-  double acc = 0.0;
-  for (float v : x) acc += static_cast<double>(v) * static_cast<double>(v);
-  return acc;
-}
-
 std::int64_t argmax(std::span<const float> x) noexcept {
   assert(!x.empty());
   std::size_t best = 0;

@@ -11,16 +11,6 @@ namespace nnr::tensor {
 /// y += alpha * x (elementwise, same length).
 void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept;
 
-/// x *= alpha.
-void scale(std::span<float> x, float alpha) noexcept;
-
-/// dst = src (copies values; shapes must match in length).
-void copy_into(std::span<const float> src, std::span<float> dst) noexcept;
-
-/// Squared L2 norm accumulated in double (metrics-side computation, not on
-/// the simulated-device training path — see metrics/ for rationale).
-[[nodiscard]] double squared_norm(std::span<const float> x) noexcept;
-
 /// Index of the maximum element (first occurrence). Precondition: non-empty.
 [[nodiscard]] std::int64_t argmax(std::span<const float> x) noexcept;
 

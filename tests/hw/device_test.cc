@@ -18,18 +18,15 @@ TEST(Device, Architectures) {
   EXPECT_EQ(v100().arch, GpuArch::kVolta);
   EXPECT_EQ(rtx5000().arch, GpuArch::kTuring);
   EXPECT_EQ(t4().arch, GpuArch::kTuring);
+  // Only the TPU is deterministic by construction (systolic reductions).
+  EXPECT_EQ(tpu_v2().kind, DeviceKind::kTpu);
+  EXPECT_EQ(v100().kind, DeviceKind::kGpuCudaCores);
 }
 
 TEST(Device, TensorCoreVariantSharesSilicon) {
   const DeviceSpec tc = rtx5000_tensor_cores();
   EXPECT_EQ(tc.kind, DeviceKind::kGpuTensorCores);
   EXPECT_EQ(tc.cuda_cores, rtx5000().cuda_cores);
-}
-
-TEST(Device, TpuIsInherentlyDeterministic) {
-  EXPECT_TRUE(tpu_v2().inherently_deterministic());
-  EXPECT_FALSE(v100().inherently_deterministic());
-  EXPECT_FALSE(rtx5000_tensor_cores().inherently_deterministic());
 }
 
 TEST(Device, RegistryHasSixDevices) {

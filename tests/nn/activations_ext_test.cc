@@ -1,4 +1,4 @@
-// LeakyReLU / SiLU / GELU / Tanh: values, gradients, and the smoothness
+// SiLU / GELU / Tanh: values, gradients, and the smoothness
 // property that motivates them (Shamir et al. 2020: smooth activations
 // damp perturbation amplification).
 #include <cmath>
@@ -17,37 +17,6 @@ using tensor::Tensor;
 using testutil::close;
 using testutil::deterministic_context;
 using testutil::fill_random;
-
-TEST(LeakyReLU, ForwardAppliesSlopeOnNegativeSide) {
-  auto hw = deterministic_context();
-  RunContext ctx{.hw = &hw, .training = true};
-  LeakyReLU layer(0.1F);
-  Tensor x(Shape{4});
-  x.at(0) = 2.0F;
-  x.at(1) = -2.0F;
-  x.at(2) = 0.0F;
-  x.at(3) = -0.5F;
-  const Tensor y = layer.forward(x, ctx);
-  EXPECT_FLOAT_EQ(y.at(0), 2.0F);
-  EXPECT_FLOAT_EQ(y.at(1), -0.2F);
-  EXPECT_FLOAT_EQ(y.at(2), 0.0F);
-  EXPECT_FLOAT_EQ(y.at(3), -0.05F);
-}
-
-TEST(LeakyReLU, BackwardUsesPerElementSlope) {
-  auto hw = deterministic_context();
-  RunContext ctx{.hw = &hw, .training = true};
-  LeakyReLU layer(0.25F);
-  Tensor x(Shape{2});
-  x.at(0) = 3.0F;
-  x.at(1) = -3.0F;
-  (void)layer.forward(x, ctx);
-  Tensor dy(Shape{2});
-  dy.fill(1.0F);
-  const Tensor dx = layer.backward(dy, ctx);
-  EXPECT_FLOAT_EQ(dx.at(0), 1.0F);
-  EXPECT_FLOAT_EQ(dx.at(1), 0.25F);
-}
 
 TEST(SiLU, KnownValues) {
   auto hw = deterministic_context();
@@ -90,12 +59,10 @@ TEST(TanhLayer, MatchesStdTanh) {
 }
 
 // Parameterized numerical gradient check over all new activations.
-enum class Act { kLeaky, kSiLU, kGELU, kTanh };
+enum class Act { kSiLU, kGELU, kTanh };
 
 std::unique_ptr<Layer> make_act(Act a) {
   switch (a) {
-    case Act::kLeaky:
-      return std::make_unique<LeakyReLU>(0.1F);
     case Act::kSiLU:
       return std::make_unique<SiLU>();
     case Act::kGELU:
@@ -114,10 +81,6 @@ TEST_P(ActivationGradCheck, InputGradientMatchesNumerical) {
   auto layer = make_act(GetParam());
   Tensor x(Shape{2, 3});
   fill_random(x, 21);
-  // Keep away from the LeakyReLU kink so finite differences are valid.
-  for (float& v : x.data()) {
-    if (std::fabs(v) < 0.05F) v += 0.1F;
-  }
 
   auto scalar = [&]() -> double {
     const Tensor y = layer->forward(x, ctx);
@@ -140,8 +103,8 @@ TEST_P(ActivationGradCheck, InputGradientMatchesNumerical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationGradCheck,
-                         ::testing::Values(Act::kLeaky, Act::kSiLU,
-                                           Act::kGELU, Act::kTanh));
+                         ::testing::Values(Act::kSiLU, Act::kGELU,
+                                           Act::kTanh));
 
 // The property that motivates smooth activations: under a small input
 // perturbation, the *gradient* of ReLU can jump by O(1) (a unit flips), while

@@ -106,45 +106,5 @@ TEST(SoftmaxCrossEntropy, GradientMatchesNumerical) {
   }
 }
 
-TEST(SigmoidBce, KnownValue) {
-  auto hw = deterministic_context();
-  RunContext ctx{.hw = &hw, .training = true};
-  Tensor logits(Shape{1, 1}, {0.0F});
-  Tensor targets(Shape{1, 1}, {1.0F});
-  const LossResult result = sigmoid_bce(logits, targets, ctx);
-  EXPECT_NEAR(result.loss, std::log(2.0), 1e-5);
-  EXPECT_NEAR(result.grad_logits.at(0), -0.5F, 1e-5);
-}
-
-TEST(SigmoidBce, GradientMatchesNumerical) {
-  auto hw = deterministic_context();
-  RunContext ctx{.hw = &hw, .training = true};
-  Tensor logits(Shape{2, 3});
-  fill_random(logits, 4);
-  Tensor targets(Shape{2, 3}, {1, 0, 1, 0, 0, 1});
-
-  auto scalar = [&]() -> double {
-    return sigmoid_bce(logits, targets, ctx).loss;
-  };
-  const LossResult result = sigmoid_bce(logits, targets, ctx);
-  const auto numeric =
-      testutil::numerical_gradient(logits.data(), scalar, 1e-2F);
-  for (std::size_t i = 0; i < numeric.size(); ++i) {
-    EXPECT_TRUE(close(result.grad_logits.at(static_cast<std::int64_t>(i)),
-                      numeric[i]))
-        << "grad[" << i << "]";
-  }
-}
-
-TEST(SigmoidBce, StableAtLargeLogits) {
-  auto hw = deterministic_context();
-  RunContext ctx{.hw = &hw, .training = true};
-  Tensor logits(Shape{1, 2}, {500.0F, -500.0F});
-  Tensor targets(Shape{1, 2}, {1.0F, 0.0F});
-  const LossResult result = sigmoid_bce(logits, targets, ctx);
-  EXPECT_TRUE(std::isfinite(result.loss));
-  EXPECT_NEAR(result.loss, 0.0, 1e-5);
-}
-
 }  // namespace
 }  // namespace nnr::nn

@@ -48,13 +48,6 @@ TEST(JsonEscape, EscapesSpecials) {
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST(RenderMarkdown, PipeTableShape) {
-  const std::string md = render_markdown(sample_table());
-  EXPECT_NE(md.find("| Variant | Churn % |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| ALGO+IMPL | 25.3 |"), std::string::npos);
-}
-
 TEST(RenderJson, ContainsHeadersAndRows) {
   const std::string js = render_json(sample_table());
   EXPECT_NE(js.find("\"headers\": [\"Variant\", \"Churn %\"]"),

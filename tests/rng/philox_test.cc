@@ -54,15 +54,6 @@ TEST(Philox, DistinctStreamsDiverge) {
   EXPECT_GT(differing, 60);
 }
 
-TEST(Philox, SkipBlocksMatchesSequentialConsumption) {
-  Philox sequential(77);
-  for (int i = 0; i < 4 * 10; ++i) sequential();  // consume 10 blocks
-
-  Philox skipped(77);
-  skipped.skip_blocks(10);
-  EXPECT_EQ(sequential(), skipped());
-}
-
 TEST(Philox, Next64CombinesTwoWords) {
   Philox a(5);
   Philox b(5);

@@ -9,8 +9,8 @@
 // Remote-only behavior gets its own fixture below: lease TTL expiry
 // without heartbeats, heartbeat keepalive, release-on-disconnect (both the
 // clean close and a genuine SIGKILLed child process), degrade-to-recompute
-// when the daemon is down, reconnect after a daemon restart, and the
-// daemon's PUT validation.
+// when the daemon is down, reconnect after a daemon restart, the daemon's
+// PUT validation, and the entry ceiling on both sides of the wire.
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -35,6 +35,7 @@
 #include "sched/fs_cache_backend.h"
 #include "sched/remote_cache_backend.h"
 #include "sched/sharded_cache_backend.h"
+#include "serialize/run_result.h"
 #include "daemon_fixture.h"
 #include "test_util.h"
 
@@ -51,6 +52,15 @@ core::RunResult sample_result() {
   r.final_weights = {-1.5F, 0.0F, 2.25F};
   r.test_accuracy = 0.75;
   r.final_train_loss = 1.25;
+  return r;
+}
+
+/// The smallest result whose entry exceeds net::kMaxEntryBytes. Entries
+/// grow in whole floats, so it lands at most 4 bytes over the ceiling.
+core::RunResult over_ceiling_result() {
+  core::RunResult r;
+  const std::size_t empty = serialize::encode_run_result(r, 0, 0).size();
+  r.final_weights.resize((net::kMaxEntryBytes - empty) / sizeof(float) + 1);
   return r;
 }
 
@@ -592,6 +602,62 @@ TEST_F(RemoteCacheTest, RemoteGcSweepsOrphansInTheDaemonDir) {
   EXPECT_EQ(gc.removed_tmp, 1);
   EXPECT_EQ(gc.entries, 1);
   EXPECT_FALSE(fs::exists(orphan));
+}
+
+/// Client options for the entry-ceiling tests. Encoding, writing and
+/// reading a 64 MiB entry takes seconds in a sanitizer build, so the lease
+/// and the I/O window must outlast that, or a slow build would drop the
+/// lease or the connection the tests check.
+RemoteCacheOptions ceiling_options() {
+  RemoteCacheOptions options = fast_options();
+  options.lease_ttl_ms = 60'000;
+  options.io_timeout_ms = 60'000;
+  return options;
+}
+
+// The entry ceiling, client side: a store over it is dropped before it is
+// sent, so the client keeps its connection and every lease riding on it.
+TEST_F(RemoteCacheTest, OverCeilingStoreIsDroppedAndKeepsTheLease) {
+  ASSERT_TRUE(server_.start(dir_.string()));
+  auto owner = client(ceiling_options());
+  auto peer = client(ceiling_options());
+  const CellKey key{91, 91};
+  const auto lease = owner->try_claim(key);
+  ASSERT_TRUE(lease.has_value());
+  const std::uint64_t connection = owner->connection_id();
+  ASSERT_NE(connection, 0u);
+
+  const core::RunResult big = over_ceiling_result();
+  ASSERT_GT(serialize::encode_run_result(big, key.hi, key.lo).size(),
+            net::kMaxEntryBytes);
+  CacheStats run;
+  EXPECT_FALSE(owner->store(key, big, &run));
+  EXPECT_EQ(run.stores, 0);
+  EXPECT_EQ(owner->stats().stores, 0);
+  EXPECT_EQ(owner->connection_id(), connection)
+      << "an over-ceiling store must not cost the client its connection";
+  EXPECT_FALSE(peer->try_claim(key).has_value())
+      << "the owner's lease must stay held";
+}
+
+// The entry ceiling, daemon side: an over-ceiling entry a local fs client
+// wrote into the daemon's directory is served as a miss, and the reader
+// keeps its connection.
+TEST_F(RemoteCacheTest, OverCeilingEntryOnDiskIsServedAsAMiss) {
+  ASSERT_TRUE(server_.start(dir_.string()));
+  const CellKey key{92, 92};
+  FsCacheBackend local(dir_.string());
+  ASSERT_TRUE(local.store(key, over_ceiling_result()));
+  ASSERT_GT(fs::file_size(local.path_for(key)), net::kMaxEntryBytes);
+
+  auto backend = client(ceiling_options());
+  ASSERT_TRUE(backend->ping());
+  const std::uint64_t connection = backend->connection_id();
+  CacheStats run;
+  EXPECT_FALSE(backend->load(key, &run).has_value());
+  EXPECT_EQ(run.misses, 1);
+  EXPECT_EQ(backend->connection_id(), connection)
+      << "an over-ceiling entry must not cost the reader its connection";
 }
 
 }  // namespace

@@ -297,31 +297,6 @@ TEST_F(SchedulerTest, ResumedStudyTrainsExactlyTheRemainingReplicates) {
   }
 }
 
-TEST_F(SchedulerTest, CompletionCallbackSeesEveryReplicate) {
-  const StudyPlan plan = tiny_plan(core::NoiseVariant::kControl, 3);
-  FsCacheBackend cache(cache_dir_.string());
-  std::vector<ReplicateEvent> events;
-  RunOptions opts;
-  opts.cache = &cache;
-  opts.on_replicate = [&events](const ReplicateEvent& event) {
-    events.push_back(event);
-  };
-  (void)run_plan(plan, opts);
-  ASSERT_EQ(events.size(), 3u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].done, static_cast<std::int64_t>(i) + 1)
-        << "done must increase monotonically (callbacks are serialized)";
-    EXPECT_EQ(events[i].total, 3);
-    EXPECT_FALSE(events[i].from_cache);
-  }
-  events.clear();
-  (void)run_plan(plan, opts);  // warm rerun: everything served from disk
-  ASSERT_EQ(events.size(), 3u);
-  for (const ReplicateEvent& event : events) {
-    EXPECT_TRUE(event.from_cache);
-  }
-}
-
 // Batched submission: duplicate cacheable keys across queued plans are
 // coalesced — trained once, shared in-memory, bit-identical everywhere.
 TEST_F(SchedulerTest, BatchCoalescesDuplicateKeysAcrossPlans) {
@@ -337,6 +312,16 @@ TEST_F(SchedulerTest, BatchCoalescesDuplicateKeysAcrossPlans) {
     expect_bitwise_equal(batch.studies[0].cells[0][r], fresh.cells[0][r]);
     expect_bitwise_equal(batch.studies[1].cells[0][r], fresh.cells[0][r]);
   }
+
+  // Distinct variants -> distinct keys -> nothing coalesces, and each plan's
+  // replicates are tallied under its own study index.
+  const StudyPlan plan_c = tiny_plan(core::NoiseVariant::kAlgoPlusImpl, 1);
+  const BatchResult distinct = run_batch({&plan_a, &plan_c});
+  EXPECT_EQ(distinct.coalesced, 0);
+  EXPECT_EQ(distinct.trained, 3);
+  ASSERT_EQ(distinct.studies.size(), 2u);
+  EXPECT_EQ(distinct.studies[0].trained, 2);
+  EXPECT_EQ(distinct.studies[1].trained, 1);
 }
 
 TEST_F(SchedulerTest, BatchWithCacheSharesOneClaimPass) {
@@ -363,31 +348,6 @@ TEST_F(SchedulerTest, BatchWithCacheSharesOneClaimPass) {
                            cold.studies[p].cells[0][r]);
     }
   }
-}
-
-TEST_F(SchedulerTest, BatchEventsCarryTheStudyIndex) {
-  // Distinct variants -> distinct keys -> nothing coalesces; every
-  // replicate fires one event tagged with its plan's index.
-  const StudyPlan plan_a = tiny_plan(core::NoiseVariant::kControl, 2);
-  const StudyPlan plan_b = tiny_plan(core::NoiseVariant::kAlgoPlusImpl, 1);
-  std::vector<ReplicateEvent> events;
-  RunOptions opts;
-  opts.on_replicate = [&events](const ReplicateEvent& event) {
-    events.push_back(event);
-  };
-  const BatchResult batch = run_batch({&plan_a, &plan_b}, opts);
-  EXPECT_EQ(batch.coalesced, 0);
-  ASSERT_EQ(events.size(), 3u);
-  int seen_a = 0;
-  int seen_b = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].done, static_cast<std::int64_t>(i) + 1);
-    EXPECT_EQ(events[i].total, 3);
-    if (events[i].study == 0) ++seen_a;
-    if (events[i].study == 1) ++seen_b;
-  }
-  EXPECT_EQ(seen_a, 2);
-  EXPECT_EQ(seen_b, 1);
 }
 
 TEST_F(SchedulerTest, EmptyBatchIsANoOp) {

@@ -187,15 +187,6 @@ TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
       << "a failed save must leave the previous checkpoint intact";
 }
 
-TEST(Checkpoint, EntryCountCoversParamsAndBuffers) {
-  Model with_bn = nn::small_cnn(10, true);
-  Model without = nn::small_cnn(10, false);
-  // BN adds two params and two buffers per layer, so the with-BN model has
-  // strictly more entries and more than params alone.
-  EXPECT_GT(checkpoint_entry_count(with_bn), checkpoint_entry_count(without));
-  EXPECT_GT(checkpoint_entry_count(with_bn), with_bn.params().size());
-}
-
 TEST(Checkpoint, ResumeEqualsUninterruptedTraining) {
   // Train 4 steps straight vs train 2, checkpoint, reload, train 2 more —
   // bitwise identical weights under deterministic execution.

@@ -2,7 +2,6 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,20 +143,6 @@ TEST(BootstrapGeneric, CustomStatisticMedian) {
   const BootstrapCI ci = bootstrap_ci(xs, median, 500, 0.95, gen);
   EXPECT_DOUBLE_EQ(ci.point, 1.5);
   EXPECT_LT(ci.hi, 50.0);  // the outlier must not drag the upper bound
-}
-
-TEST(Jackknife, MatchesClassicalStderrOfMean) {
-  // For the mean, jackknife SE == s / sqrt(n) exactly.
-  const std::vector<double> xs = normal_sample(50, 1.0, 4.0, 31);
-  metrics::RunningStat s;
-  for (const double x : xs) s.add(x);
-  const double classical = s.stddev() / std::sqrt(50.0);
-  EXPECT_NEAR(jackknife_mean_stderr(xs), classical, 1e-10);
-}
-
-TEST(Jackknife, ZeroForConstantSample) {
-  const std::vector<double> xs(12, 2.0);
-  EXPECT_NEAR(jackknife_mean_stderr(xs), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -32,6 +32,11 @@ TEST(WelchT, ClearlySeparatedSamplesReject) {
   const std::vector<double> b = normal_sample(20, 5.0, 1.0, 2);
   const TestResult r = welch_t_test(a, b);
   EXPECT_LT(r.p_value, 1e-6);
+
+  // A clear medium effect with comfortable n lands below alpha = 0.05 too.
+  const std::vector<double> c = normal_sample(25, 0.0, 1.0, 17);
+  const std::vector<double> d = normal_sample(25, 1.2, 1.0, 18);
+  EXPECT_LT(welch_t_test(c, d).p_value, 0.05);
 }
 
 TEST(WelchT, SymmetricInArguments) {
@@ -113,50 +118,6 @@ TEST(BrownForsythe, ScaleInvarianceOfDecision) {
   }
   EXPECT_NEAR(brown_forsythe_test(g1).statistic,
               brown_forsythe_test(g2).statistic, 1e-9);
-}
-
-TEST(PermutationTest, IdenticalSamplesDoNotReject) {
-  const std::vector<double> a = normal_sample(12, 1.0, 1.0, 14);
-  rng::Generator gen(20);
-  const TestResult r = permutation_mean_test(a, a, 500, gen);
-  EXPECT_GT(r.p_value, 0.5);
-}
-
-TEST(PermutationTest, SeparatedSamplesReject) {
-  const std::vector<double> a = normal_sample(12, 0.0, 0.5, 15);
-  const std::vector<double> b = normal_sample(12, 4.0, 0.5, 16);
-  rng::Generator gen(21);
-  const TestResult r = permutation_mean_test(a, b, 999, gen);
-  // Smallest attainable p with the add-one correction is 1/1000.
-  EXPECT_NEAR(r.p_value, 1.0 / 1000.0, 5e-3);
-}
-
-TEST(PermutationTest, PValueBoundedBelowByAddOne) {
-  const std::vector<double> a = {0.0, 0.0, 0.0};
-  const std::vector<double> b = {100.0, 100.0, 100.0};
-  rng::Generator gen(22);
-  const TestResult r = permutation_mean_test(a, b, 99, gen);
-  EXPECT_GE(r.p_value, 1.0 / 100.0 - 1e-12);
-}
-
-TEST(PermutationTest, AgreesWithWelchOnModerateEffect) {
-  // Both tests should land on the same side of alpha = 0.05 for a clear
-  // medium effect with comfortable n.
-  const std::vector<double> a = normal_sample(25, 0.0, 1.0, 17);
-  const std::vector<double> b = normal_sample(25, 1.2, 1.0, 18);
-  rng::Generator gen(23);
-  const TestResult perm = permutation_mean_test(a, b, 2000, gen);
-  const TestResult welch = welch_t_test(a, b);
-  EXPECT_LT(perm.p_value, 0.05);
-  EXPECT_LT(welch.p_value, 0.05);
-}
-
-TEST(SignTest, BalancedIsCertain) {
-  EXPECT_NEAR(sign_test(4, 8).p_value, 1.0, 1e-12);
-}
-
-TEST(SignTest, UnanimousIsExtreme) {
-  EXPECT_NEAR(sign_test(10, 10).p_value, 2.0 / 1024.0, 1e-12);
 }
 
 }  // namespace

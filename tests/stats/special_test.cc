@@ -83,13 +83,6 @@ TEST(IncompleteBeta, MonotoneInX) {
   }
 }
 
-TEST(NormalCdf, Anchors) {
-  EXPECT_NEAR(normal_cdf(0.0), 0.5, 1e-15);
-  EXPECT_NEAR(normal_cdf(1.959963984540054), 0.975, 1e-9);
-  EXPECT_NEAR(normal_cdf(-1.959963984540054), 0.025, 1e-9);
-  EXPECT_NEAR(normal_cdf(3.0), 0.9986501019683699, 1e-12);
-}
-
 TEST(StudentT, LargeDfApproachesNormal) {
   // For huge df the t distribution is the standard normal; the two-sided
   // 1.96 tail must be ~0.05.
@@ -129,33 +122,6 @@ TEST(FDistribution, KnownCriticalValue) {
 TEST(FDistribution, Extremes) {
   EXPECT_DOUBLE_EQ(f_upper_tail_p(0.0, 3.0, 3.0), 1.0);
   EXPECT_NEAR(f_upper_tail_p(1e12, 3.0, 3.0), 0.0, 1e-6);
-}
-
-TEST(BinomialTwoSided, BalancedOutcomeIsCertain) {
-  EXPECT_NEAR(binomial_two_sided_p(5, 10), 1.0, 1e-12);
-}
-
-TEST(BinomialTwoSided, ExtremeOutcome) {
-  // P = 2 * (1/2)^10 for 10/10 successes.
-  EXPECT_NEAR(binomial_two_sided_p(10, 10), 2.0 / 1024.0, 1e-12);
-  EXPECT_NEAR(binomial_two_sided_p(0, 10), 2.0 / 1024.0, 1e-12);
-}
-
-TEST(BinomialTwoSided, SymmetricInSuccesses) {
-  for (int k = 0; k <= 12; ++k) {
-    EXPECT_NEAR(binomial_two_sided_p(k, 12), binomial_two_sided_p(12 - k, 12),
-                1e-12);
-  }
-}
-
-TEST(BinomialTwoSided, HandComputedCase) {
-  // n = 6: pmf = (1, 6, 15, 20, 15, 6, 1)/64. Observed k=1 (pmf 6/64):
-  // outcomes with pmf <= 6/64 are k in {0, 1, 5, 6} -> (1+6+6+1)/64.
-  EXPECT_NEAR(binomial_two_sided_p(1, 6), 14.0 / 64.0, 1e-12);
-}
-
-TEST(BinomialTwoSided, DegenerateTrials) {
-  EXPECT_DOUBLE_EQ(binomial_two_sided_p(0, 0), 1.0);
 }
 
 }  // namespace

@@ -15,25 +15,6 @@ TEST(Ops, Axpy) {
   EXPECT_FLOAT_EQ(y[2], 36.0F);
 }
 
-TEST(Ops, Scale) {
-  std::vector<float> x = {2, -4};
-  scale(x, 0.5F);
-  EXPECT_FLOAT_EQ(x[0], 1.0F);
-  EXPECT_FLOAT_EQ(x[1], -2.0F);
-}
-
-TEST(Ops, CopyInto) {
-  std::vector<float> src = {1, 2};
-  std::vector<float> dst = {0, 0};
-  copy_into(src, dst);
-  EXPECT_EQ(dst[1], 2.0F);
-}
-
-TEST(Ops, SquaredNorm) {
-  std::vector<float> x = {3, 4};
-  EXPECT_DOUBLE_EQ(squared_norm(x), 25.0);
-}
-
 TEST(Ops, ArgmaxFirstOccurrence) {
   std::vector<float> x = {1, 5, 5, 2};
   EXPECT_EQ(argmax(x), 1);
