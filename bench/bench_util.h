@@ -51,7 +51,7 @@ inline sched::StudyResult run_study(const sched::StudyPlan& plan) {
   sched::StudyResult result = sched::run_plan(plan, opts);
   if (cache() != nullptr) {
     std::fprintf(stderr, "[cache %s] %s\n", plan.name().c_str(),
-                 sched::cache_stats_line(result).c_str());
+                 sched::cache_stats_line(result.cache, result.trained).c_str());
   }
   return result;
 }

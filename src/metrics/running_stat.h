@@ -29,11 +29,6 @@ class RunningStat {
     return n_ > 1 ? std::sqrt(m2_ / static_cast<double>(n_ - 1)) : 0.0;
   }
 
-  /// Population variant (n denominator), for property tests.
-  [[nodiscard]] double stddev_population() const noexcept {
-    return n_ > 0 ? std::sqrt(m2_ / static_cast<double>(n_)) : 0.0;
-  }
-
   [[nodiscard]] double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
 

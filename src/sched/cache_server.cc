@@ -607,8 +607,7 @@ void CacheServer::handle_frame(Conn& conn, std::uint8_t opcode,
         resp = status_only(Status::kGone);
         break;
       }
-      (void)queue_.report(key,
-                          static_cast<FleetQueue::Outcome>(outcome_raw));
+      (void)queue_.report(key, static_cast<net::ReportOutcome>(outcome_raw));
       // The item is settled (done or requeued-by-failure): the lease has
       // served its purpose. Erase directly — drop_lease would requeue,
       // but report() already decided the item's fate.

@@ -49,33 +49,28 @@ bool retry_until_answered(const RemoteCacheBackend& client,
   });
 }
 
-std::optional<FleetSubmitSummary> fleet_submit_and_wait(
-    RemoteCacheBackend& backend, const std::vector<std::string>& studies) {
-  FleetSubmitSummary summary;
+std::optional<FleetQueue::Stats> fleet_submit_and_wait(
+    RemoteCacheBackend& backend, const std::vector<StudyPlan>& plans) {
+  std::int64_t uncacheable = 0;  // replicates skipped (train locally)
   std::vector<FleetWorkItem> items;
   // Studies share cells (fig1 and table2 share most V100 cells), so the
   // same key can enumerate twice; submit each once, under the first study
   // that names it. The daemon dedupes too — this just keeps the submitted
   // count honest.
   std::unordered_set<CellKey, CellKeyHash> seen;
-  for (const std::string& name : studies) {
-    const StudyDef* def = find_study(name);
-    if (def == nullptr) {
-      std::fprintf(stderr, "[fleet] unknown study '%s'\n", name.c_str());
-      return std::nullopt;
-    }
-    const StudyPlan plan = def->make_plan();
+  for (const StudyPlan& plan : plans) {
     const auto& cells = plan.cells();
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
       const Cell& cell = cells[ci];
       if (!cell.cacheable()) {
-        summary.uncacheable += cell.replicates;
+        uncacheable += cell.replicates;
         continue;
       }
       for (std::int64_t r = 0; r < cell.replicates; ++r) {
         const CellKey key = cell_key(cell, cell.ids_for(r));
         if (!seen.insert(key).second) continue;
-        items.push_back(FleetWorkItem{key, name, static_cast<std::uint32_t>(ci),
+        items.push_back(FleetWorkItem{key, plan.name(),
+                                      static_cast<std::uint32_t>(ci),
                                       static_cast<std::uint32_t>(r)});
       }
     }
@@ -83,7 +78,7 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
 
   // SUBMIT is idempotent (the daemon dedupes), so a lost frame or a
   // daemon mid-restart costs a retry, not the wave.
-  std::optional<RemoteCacheBackend::FleetSubmitAck> ack;
+  std::optional<FleetQueue::SubmitStats> ack;
   (void)retry_within_lease(backend, [&] {
     ack = backend.fleet_submit(items);
     return ack.has_value();
@@ -95,16 +90,13 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
                  backend.describe().c_str());
     return std::nullopt;
   }
-  summary.submitted = ack->enqueued;
-  summary.duplicates = ack->duplicates;
-  summary.already_done = ack->already_done;
   std::fprintf(stderr,
                "[fleet] submitted %llu cells (%llu duplicate, %llu already "
                "cached, %lld uncacheable skipped)\n",
                static_cast<unsigned long long>(ack->enqueued),
                static_cast<unsigned long long>(ack->duplicates),
                static_cast<unsigned long long>(ack->already_done),
-               static_cast<long long>(summary.uncacheable));
+               static_cast<long long>(uncacheable));
 
   net::Jitter jitter(net::default_jitter_seed());
   ProgressPrinter printer(/*min_interval_ms=*/1000);
@@ -132,13 +124,7 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
                      static_cast<std::int64_t>(stats->trained))
               .c_str());
       printer.emit(line, elapsed_ms, /*force=*/drained);
-      if (drained) {
-        summary.total = stats->total;
-        summary.trained = stats->trained;
-        summary.served = stats->served;
-        summary.failed = stats->failed;
-        return summary;
-      }
+      if (drained) return stats;
     }
     // A failed poll is a daemon hiccup or restart — the queue snapshot
     // survives restarts, so just keep polling (jittered, so a herd of

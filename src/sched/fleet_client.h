@@ -2,12 +2,12 @@
 // sched/cache_server.h + sched/fleet_queue.h):
 //
 //   coordinator   `nnr_run --submit fig2,table2 --cache-url ...`
-//                 enumerates the cacheable cells of the named studies,
+//                 enumerates the cacheable cells of the studies' plans,
 //                 SUBMITs them once, then polls QUEUE_STAT printing a
 //                 fleet-wide "[fleet] 412/960 cells" line until the queue
 //                 drains. It never trains — workers do; afterwards the
-//                 caller replays the studies locally (now warm) to produce
-//                 byte-identical tables.
+//                 caller replays the same plans locally (now warm) to
+//                 produce byte-identical tables.
 //
 //   worker        `nnr_run --worker --cache-url ...`
 //                 a stateless FETCH -> train -> PUT -> REPORT loop. Workers
@@ -33,13 +33,15 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
+
+#include "sched/fleet_queue.h"
 
 namespace nnr::sched {
 
 class RemoteCacheBackend;
 class ShardedCacheBackend;
+class StudyPlan;
 
 /// The fleet's retry rule: runs `attempt` through net::retry for up to one
 /// of `client`'s lease TTLs — the time the fleet already lets a cell sit
@@ -56,28 +58,18 @@ bool retry_within_lease(const RemoteCacheBackend& client,
 bool retry_until_answered(const RemoteCacheBackend& client,
                           const std::function<bool()>& request);
 
-struct FleetSubmitSummary {
-  std::uint64_t submitted = 0;     // newly enqueued by this submit
-  std::uint64_t duplicates = 0;    // already tracked by the queue
-  std::uint64_t already_done = 0;  // already in the cache at submit time
-  std::int64_t uncacheable = 0;    // replicates skipped (train locally)
-  // Fleet-wide queue state once drained.
-  std::uint64_t total = 0;
-  std::uint64_t trained = 0;
-  std::uint64_t served = 0;
-  std::uint64_t failed = 0;  // gave up after FleetQueue::kMaxAttempts
-};
-
-/// Submits every cacheable (cell, replicate) of the named studies (ids per
-/// sched/registry.h; the caller validates names first) to `backend`, the
-/// queue daemon's client (shard(0) of the cache tier), and blocks until the
-/// fleet drains the queue, printing the [fleet] progress line to stderr.
-/// SUBMIT is idempotent — the daemon dedupes resubmitted keys — so it is
-/// retried within one lease TTL; nullopt when it never gets through (daemon
-/// unreachable, or a pre-queue daemon answering kError). Daemon restarts
-/// during the wait are tolerated: a failed QUEUE_STAT poll just polls again.
-[[nodiscard]] std::optional<FleetSubmitSummary> fleet_submit_and_wait(
-    RemoteCacheBackend& backend, const std::vector<std::string>& studies);
+/// Submits every cacheable (cell, replicate) of `plans` to `backend`, the
+/// queue daemon's client (shard(0) of the cache tier), under each plan's
+/// name; workers rebuild the plan from that name (sched/registry.h), so
+/// the plans must be registry studies. Blocks until the fleet drains the
+/// queue, printing the [fleet] progress line to stderr, and returns the
+/// drained queue's stats. SUBMIT is idempotent — the daemon dedupes
+/// resubmitted keys — so it is retried within one lease TTL; nullopt when
+/// it never gets through (daemon unreachable, or a pre-queue daemon
+/// answering kError). Daemon restarts during the wait are tolerated: a
+/// failed QUEUE_STAT poll just polls again.
+[[nodiscard]] std::optional<FleetQueue::Stats> fleet_submit_and_wait(
+    RemoteCacheBackend& backend, const std::vector<StudyPlan>& plans);
 
 struct FleetWorkerSummary {
   std::int64_t fetched = 0;

@@ -1,8 +1,6 @@
 #include "sched/fleet_queue.h"
 
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "serialize/atomic_file.h"
@@ -26,17 +24,13 @@ FleetQueue::FleetQueue(std::string snapshot_path)
 
 void FleetQueue::load() {
   if (snapshot_path_.empty()) return;
-  std::string bytes;
-  {
-    std::ifstream in(snapshot_path_, std::ios::binary);
-    if (!in) return;  // no snapshot: fresh queue
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::optional<std::string> bytes =
+      serialize::read_file(snapshot_path_);
+  if (!bytes.has_value()) return;  // no snapshot: fresh queue
   std::unordered_map<CellKey, Item, CellKeyHash> items;
   std::vector<CellKey> pending;
   try {
-    serialize::detail::BufReader r(bytes, kSnapshotMagic, snapshot_path_);
+    serialize::detail::BufReader r(*bytes, kSnapshotMagic, snapshot_path_);
     if (r.get<std::uint32_t>() != kSnapshotFormat) return;
     const auto count = r.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -49,7 +43,7 @@ void FleetQueue::load() {
       item.work.cell = r.get<std::uint32_t>();
       item.work.replicate = r.get<std::uint32_t>();
       item.state = static_cast<ItemState>(r.get<std::uint8_t>());
-      item.outcome = static_cast<Outcome>(r.get<std::uint8_t>());
+      item.outcome = static_cast<net::ReportOutcome>(r.get<std::uint8_t>());
       item.attempts = r.get<std::uint32_t>();
       // The previous daemon's leases died with it: a leased item reverts
       // to pending, the restart analogue of lease expiry.
@@ -134,7 +128,7 @@ FleetQueue::SubmitStats FleetQueue::submit(
       // The result already exists: the item is born done(served), so the
       // fleet's progress line counts it without any worker touching it.
       item.state = ItemState::kDone;
-      item.outcome = Outcome::kServed;
+      item.outcome = net::ReportOutcome::kServed;
       ++result.already_done;
     } else {
       item.state = ItemState::kPending;
@@ -186,18 +180,18 @@ void FleetQueue::release_to_pending(const CellKey& key) {
   // No persist(): on disk the item never left pending.
 }
 
-bool FleetQueue::report(const CellKey& key, Outcome outcome) {
+bool FleetQueue::report(const CellKey& key, net::ReportOutcome outcome) {
   const auto it = items_.find(key);
   if (it == items_.end()) return false;
   Item& item = it->second;
-  if (outcome == Outcome::kFailed) {
+  if (outcome == net::ReportOutcome::kFailed) {
     ++item.attempts;
     if (item.attempts < kMaxAttempts) {
       item.state = ItemState::kPending;
       push_pending(key);
     } else {
       item.state = ItemState::kDone;
-      item.outcome = Outcome::kFailed;
+      item.outcome = net::ReportOutcome::kFailed;
     }
   } else {
     item.state = ItemState::kDone;
@@ -221,13 +215,13 @@ FleetQueue::Stats FleetQueue::stats() const {
       case ItemState::kDone:
         ++s.done;
         switch (item.outcome) {
-          case Outcome::kTrained:
+          case net::ReportOutcome::kTrained:
             ++s.trained;
             break;
-          case Outcome::kServed:
+          case net::ReportOutcome::kServed:
             ++s.served;
             break;
-          case Outcome::kFailed:
+          case net::ReportOutcome::kFailed:
             ++s.failed;
             break;
         }

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/cache_protocol.h"
 #include "sched/cell_key.h"
 
 namespace nnr::sched {
@@ -57,7 +58,6 @@ class FleetQueue {
   static constexpr std::uint32_t kMaxAttempts = 3;
 
   enum class ItemState : std::uint8_t { kPending = 0, kLeased = 1, kDone = 2 };
-  enum class Outcome : std::uint8_t { kTrained = 0, kServed = 1, kFailed = 2 };
 
   /// `snapshot_path` is where the queue persists itself; empty disables
   /// persistence (unit tests of the pure state machine).
@@ -96,7 +96,7 @@ class FleetQueue {
   /// Worker report for a leased item. kTrained/kServed mark it done;
   /// kFailed requeues it (attempts + 1) until kMaxAttempts, then parks it
   /// as done(failed). False when the key is unknown.
-  bool report(const CellKey& key, Outcome outcome);
+  bool report(const CellKey& key, net::ReportOutcome outcome);
 
   struct Stats {
     std::uint64_t total = 0;
@@ -125,7 +125,7 @@ class FleetQueue {
   struct Item {
     FleetWorkItem work;
     ItemState state = ItemState::kPending;
-    Outcome outcome = Outcome::kTrained;  // meaningful once done
+    net::ReportOutcome outcome = net::ReportOutcome::kTrained;  // once done
     std::uint32_t attempts = 0;
   };
 

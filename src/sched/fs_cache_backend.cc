@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <system_error>
 #include <tuple>
@@ -180,18 +179,8 @@ bool FsCacheBackend::has_entry(const CellKey& key) const {
 }
 
 std::optional<std::string> FsCacheBackend::load_bytes(const CellKey& key) {
-  std::ifstream in(path_for(key), std::ios::binary);
-  if (!in) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  touch(key);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.hits;
-  stats_.bytes_read += static_cast<std::int64_t>(bytes.size());
+  std::optional<std::string> bytes = serialize::read_file(path_for(key));
+  if (bytes.has_value()) touch(key);
   return bytes;
 }
 

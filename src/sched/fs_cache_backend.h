@@ -85,8 +85,9 @@ class FsCacheBackend final : public CacheBackend {
 
   /// Raw entry payload for `key` — the exact file bytes, unvalidated (the
   /// daemon's GET path; the requesting client re-verifies checksum and
-  /// embedded key). Counts a hit/miss and refreshes the entry's mtime, so
-  /// remote reads advance LRU recency like local ones.
+  /// embedded key, and counts its own hit or miss). Refreshes the entry's
+  /// mtime, so remote reads advance LRU recency like local ones; counts
+  /// nothing in stats().
   [[nodiscard]] std::optional<std::string> load_bytes(const CellKey& key);
 
   /// Stores pre-validated raw bytes under `key` (the daemon's PUT path, and

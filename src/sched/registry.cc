@@ -169,44 +169,16 @@ StudyPlan model_design_act_plan() {
 
 StudyPlan optimizer_plan() {
   StudyPlan plan("ablation_optimizer");
-  struct OptimizerCell {
-    const char* label;
-    core::OptimizerFactory make;
-    float lr_scale;  // relative to the recipe LR (adaptive rules run hotter)
-  };
-  const OptimizerCell optimizer_cells[] = {
-      {"SGD",
-       [](std::vector<nn::Param*> p) {
-         return std::make_unique<opt::Sgd>(std::move(p));
-       },
-       1.0F},
-      {"SGD+momentum",
-       [](std::vector<nn::Param*> p) {
-         return std::make_unique<opt::Sgd>(std::move(p), 0.9F);
-       },
-       1.0F},
-      {"Adam",
-       [](std::vector<nn::Param*> p) {
-         return std::make_unique<opt::Adam>(std::move(p));
-       },
-       0.5F},
-      {"RMSProp",
-       [](std::vector<nn::Param*> p) {
-         return std::make_unique<opt::RmsProp>(std::move(p));
-       },
-       0.5F},
-  };
   const core::Task& task = plan.own_task(make_named("smallcnn_bn"));
-  for (const OptimizerCell& opt_cell : optimizer_cells) {
+  for (const OptimizerDef& def : optimizer_registry()) {
     for (const core::NoiseVariant variant :
          {core::NoiseVariant::kAlgo, core::NoiseVariant::kImpl}) {
       Cell& cell = plan.add_cell(task, variant, hw::v100());
-      cell.id = std::string(opt_cell.label) + " / " +
-                std::string(core::variant_name(variant));
-      cell.task_name = opt_cell.label;
-      cell.optimizer_id = opt_cell.label;
-      cell.job.make_optimizer = opt_cell.make;
-      cell.job.recipe.base_lr *= opt_cell.lr_scale;
+      cell.id = def.label + " / " + std::string(core::variant_name(variant));
+      cell.task_name = def.label;
+      cell.optimizer_id = def.label;
+      cell.job.make_optimizer = def.make;
+      cell.job.recipe.base_lr *= def.lr_scale;
     }
   }
   return plan;
@@ -314,6 +286,39 @@ const std::vector<StudyDef>& study_registry() {
 
 const StudyDef* find_study(std::string_view id) {
   for (const StudyDef& def : study_registry()) {
+    if (def.id == id) return &def;
+  }
+  return nullptr;
+}
+
+const std::vector<OptimizerDef>& optimizer_registry() {
+  static const std::vector<OptimizerDef> registry = {
+      {"sgd", "SGD",
+       [](std::vector<nn::Param*> p) {
+         return std::make_unique<opt::Sgd>(std::move(p));
+       },
+       1.0F},
+      {"sgd_momentum", "SGD+momentum",
+       [](std::vector<nn::Param*> p) {
+         return std::make_unique<opt::Sgd>(std::move(p), 0.9F);
+       },
+       1.0F},
+      {"adam", "Adam",
+       [](std::vector<nn::Param*> p) {
+         return std::make_unique<opt::Adam>(std::move(p));
+       },
+       0.5F},
+      {"rmsprop", "RMSProp",
+       [](std::vector<nn::Param*> p) {
+         return std::make_unique<opt::RmsProp>(std::move(p));
+       },
+       0.5F},
+  };
+  return registry;
+}
+
+const OptimizerDef* find_optimizer(std::string_view id) {
+  for (const OptimizerDef& def : optimizer_registry()) {
     if (def.id == id) return &def;
   }
   return nullptr;

@@ -423,8 +423,8 @@ std::optional<RemoteCacheBackend::ShardInfo> RemoteCacheBackend::shard_info() {
   }
 }
 
-std::optional<RemoteCacheBackend::FleetSubmitAck>
-RemoteCacheBackend::fleet_submit(const std::vector<FleetWorkItem>& items) {
+std::optional<FleetQueue::SubmitStats> RemoteCacheBackend::fleet_submit(
+    const std::vector<FleetWorkItem>& items) {
   BodyWriter w;
   w.put(static_cast<std::uint32_t>(items.size()));
   for (const FleetWorkItem& item : items) {
@@ -439,7 +439,7 @@ RemoteCacheBackend::fleet_submit(const std::vector<FleetWorkItem>& items) {
   if (!reply.has_value() || reply->status != Status::kOk) return std::nullopt;
   try {
     BodyReader r(reply->body);
-    FleetSubmitAck ack;
+    FleetQueue::SubmitStats ack;
     ack.enqueued = r.get<std::uint64_t>();
     ack.duplicates = r.get<std::uint64_t>();
     ack.already_done = r.get<std::uint64_t>();

@@ -149,12 +149,7 @@ class RemoteCacheBackend final : public CacheBackend {
   // the daemon is unreachable OR answers kError (an older daemon without
   // the queue opcodes — "feature absent", per the versioning rules).
 
-  struct FleetSubmitAck {
-    std::uint64_t enqueued = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t already_done = 0;
-  };
-  [[nodiscard]] std::optional<FleetSubmitAck> fleet_submit(
+  [[nodiscard]] std::optional<FleetQueue::SubmitStats> fleet_submit(
       const std::vector<FleetWorkItem>& items);
 
   /// One FETCH. granted: `item` plus a heartbeat-renewed CacheClaim (the

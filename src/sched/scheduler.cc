@@ -266,14 +266,12 @@ core::TextTable cache_stats_table(const StudyResult& result) {
   return table;
 }
 
-std::string cache_stats_line(const StudyResult& result) {
+std::string cache_stats_line(const CacheStats& cache, std::int64_t trained) {
   const auto n = [](std::int64_t v) { return std::to_string(v); };
-  return "hits=" + n(result.cache.hits) + " misses=" + n(result.cache.misses) +
-         " stores=" + n(result.cache.stores) +
-         " corrupt=" + n(result.cache.corrupt) +
-         " read=" + n(result.cache.bytes_read) +
-         "B written=" + n(result.cache.bytes_written) +
-         "B trained=" + n(result.trained);
+  return "hits=" + n(cache.hits) + " misses=" + n(cache.misses) +
+         " stores=" + n(cache.stores) + " corrupt=" + n(cache.corrupt) +
+         " read=" + n(cache.bytes_read) +
+         "B written=" + n(cache.bytes_written) + "B trained=" + n(trained);
 }
 
 }  // namespace nnr::sched

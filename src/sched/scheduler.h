@@ -99,8 +99,10 @@ struct BatchResult {
 /// report::Exporter / stdout.
 [[nodiscard]] core::TextTable cache_stats_table(const StudyResult& result);
 
-/// One-line rendering of the same counters ("hits=... trained=...") — the
-/// single format every tool/bench logs, so scripts can grep one shape.
-[[nodiscard]] std::string cache_stats_line(const StudyResult& result);
+/// One-line rendering of the same counters ("hits=... trained=...") for a
+/// study or a whole batch — the single format every tool/bench logs, so
+/// scripts can grep one shape.
+[[nodiscard]] std::string cache_stats_line(const CacheStats& cache,
+                                           std::int64_t trained);
 
 }  // namespace nnr::sched

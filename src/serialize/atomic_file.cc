@@ -1,7 +1,10 @@
 #include "serialize/atomic_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -33,6 +36,27 @@ bool write_file_atomic(const std::string& path, std::string_view bytes) {
   if (!ec) return true;
   std::filesystem::remove(tmp, ec);
   return false;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> bytes;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    bytes.emplace(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t done = 0;
+    while (done < bytes->size()) {
+      const ::ssize_t n =
+          ::read(fd, bytes->data() + done, bytes->size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    if (done != bytes->size()) bytes.reset();
+  }
+  ::close(fd);
+  return bytes;
 }
 
 }  // namespace nnr::serialize

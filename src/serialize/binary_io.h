@@ -19,12 +19,13 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
+#include "serialize/atomic_file.h"
 #include "serialize/checkpoint.h"
 
 namespace nnr::serialize::detail {
@@ -78,13 +79,18 @@ class Reader {
  public:
   Reader(const std::string& path, const std::array<char, 8>& magic)
       : path_(path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw CheckpointError("cannot open for reading: " + path);
-    bytes_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    init(std::string_view(bytes_.data(), bytes_.size()),
-         std::string_view(magic.data(), magic.size()));
+    std::optional<std::string> bytes = read_file(path);
+    if (!bytes.has_value()) {
+      throw CheckpointError("cannot open for reading: " + path);
+    }
+    bytes_ = std::move(*bytes);
+    init(bytes_, std::string_view(magic.data(), magic.size()));
   }
+
+  // data_ points into bytes_ or the caller's payload, so a Reader is read
+  // where it was built: never copied, never moved.
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
   template <typename T>
   T get() {
@@ -145,7 +151,7 @@ class Reader {
   }
 
   std::string path_;
-  std::vector<char> bytes_;   // owned storage (file path only)
+  std::string bytes_;  // owned storage (file path only)
   const char* data_ = nullptr;
   std::size_t body_end_ = 0;
   std::size_t pos_ = 0;

@@ -47,7 +47,7 @@ TEST(FleetQueueTest, SubmitFetchReportLifecycle) {
   EXPECT_EQ(q.stats().leased, 1u);
   EXPECT_EQ(q.outstanding(), 3u);
 
-  EXPECT_TRUE(q.report(fetched->key, FleetQueue::Outcome::kTrained));
+  EXPECT_TRUE(q.report(fetched->key, net::ReportOutcome::kTrained));
   const auto after = q.stats();
   EXPECT_EQ(after.done, 1u);
   EXPECT_EQ(after.trained, 1u);
@@ -119,12 +119,12 @@ TEST(FleetQueueTest, FailedReportRequeuesUpToMaxAttemptsThenParks) {
        ++attempt) {
     const auto fetched = q.fetch_next(kAlwaysAvailable);
     ASSERT_TRUE(fetched.has_value()) << "attempt " << attempt;
-    EXPECT_TRUE(q.report(fetched->key, FleetQueue::Outcome::kFailed));
+    EXPECT_TRUE(q.report(fetched->key, net::ReportOutcome::kFailed));
     EXPECT_EQ(q.stats().pending, 1u) << "failure below the cap requeues";
   }
   const auto last = q.fetch_next(kAlwaysAvailable);
   ASSERT_TRUE(last.has_value());
-  EXPECT_TRUE(q.report(last->key, FleetQueue::Outcome::kFailed));
+  EXPECT_TRUE(q.report(last->key, net::ReportOutcome::kFailed));
   const auto s = q.stats();
   EXPECT_EQ(s.pending, 0u) << "kMaxAttempts failures park the item";
   EXPECT_EQ(s.done, 1u);
@@ -135,7 +135,7 @@ TEST(FleetQueueTest, FailedReportRequeuesUpToMaxAttemptsThenParks) {
 TEST(FleetQueueTest, ReportForUnknownKeyIsRejected) {
   FleetQueue q("");
   q.submit(items(1), kNoEntry);
-  EXPECT_FALSE(q.report(CellKey{999, 999}, FleetQueue::Outcome::kTrained));
+  EXPECT_FALSE(q.report(CellKey{999, 999}, net::ReportOutcome::kTrained));
 }
 
 TEST(FleetQueueTest, SubmitOntoDrainedQueueStartsAFreshWave) {
@@ -144,7 +144,7 @@ TEST(FleetQueueTest, SubmitOntoDrainedQueueStartsAFreshWave) {
   for (int i = 0; i < 2; ++i) {
     const auto fetched = q.fetch_next(kAlwaysAvailable);
     ASSERT_TRUE(fetched.has_value());
-    ASSERT_TRUE(q.report(fetched->key, FleetQueue::Outcome::kTrained));
+    ASSERT_TRUE(q.report(fetched->key, net::ReportOutcome::kTrained));
   }
   ASSERT_EQ(q.outstanding(), 0u);
   // New wave: the old done items leave the tally so progress restarts 0/N
@@ -167,7 +167,7 @@ TEST(FleetQueueTest, SnapshotRoundTripsAcrossRestart) {
     q.submit(items(4), kNoEntry);
     const auto fetched = q.fetch_next(kAlwaysAvailable);  // -> leased
     ASSERT_TRUE(fetched.has_value());
-    ASSERT_TRUE(q.report(item(2).key, FleetQueue::Outcome::kTrained));
+    ASSERT_TRUE(q.report(item(2).key, net::ReportOutcome::kTrained));
     // q dies here with: 1 leased, 2 pending, 1 done(trained).
   }
 

@@ -4,6 +4,8 @@
 #include "sched/registry.h"
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +59,25 @@ TEST(StudyRegistry, SharedCellsHashToTheSameKey) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(cell_key(*a, a->ids_for(0)), cell_key(*b, b->ids_for(0)));
   EXPECT_NE(cell_key(*a, a->ids_for(0)), cell_key(*a, a->ids_for(1)));
+}
+
+TEST(OptimizerRegistry, NamesAreStableCacheIdentities) {
+  // Both names feed Cell::optimizer_id: renaming one orphans every cache
+  // entry keyed on it. --optimizer resolves ids only.
+  std::vector<std::string> ids;
+  std::vector<std::string> labels;
+  for (const OptimizerDef& def : optimizer_registry()) {
+    ids.push_back(def.id);
+    labels.push_back(def.label);
+    EXPECT_EQ(find_optimizer(def.id), &def);
+    EXPECT_TRUE(static_cast<bool>(def.make));
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"sgd", "sgd_momentum", "adam",
+                                           "rmsprop"}));
+  EXPECT_EQ(labels, (std::vector<std::string>{"SGD", "SGD+momentum", "Adam",
+                                              "RMSProp"}));
+  EXPECT_EQ(find_optimizer("SGD"), nullptr);
+  EXPECT_EQ(find_optimizer("no-such"), nullptr);
 }
 
 TEST(StudyRegistry, StudyIdsAreUnique) {

@@ -4,8 +4,8 @@
 # by the kernel, temp files may be orphaned) and rerun against the same
 # cache trains exactly the replicates that were not yet durably stored,
 # and the final tables are byte-identical to an uninterrupted run. A warm
-# rerun against the resumed cache then trains nothing and writes nothing:
-# the cache dir's file names and sizes are unchanged.
+# rerun against the resumed cache then misses nothing, trains nothing and
+# writes nothing: the cache dir's file names and sizes are unchanged.
 #
 # Usage: kill_resume_test.sh /path/to/nnr_run
 set -euo pipefail
@@ -81,6 +81,8 @@ listing > "$WORK/cache.before"
   2> "$WORK/warm.err"
 warm="$(last_trained "$WORK/warm.err")"
 [ "$warm" -eq 0 ] || { echo "FAIL: warm rerun trained=$warm"; exit 1; }
+grep -q ' misses=0 ' "$WORK/warm.err" || {
+  echo "FAIL: warm rerun missed the cache"; cat "$WORK/warm.err"; exit 1; }
 listing > "$WORK/cache.after"
 diff "$WORK/cache.before" "$WORK/cache.after" || {
   echo "FAIL: a warm rerun changed the cache dir's files"; exit 1; }

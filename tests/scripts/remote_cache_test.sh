@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Remote-cache contract at the process level — the network twin of the
-# flock concurrency CI job:
+# flock concurrency test (fs_cache_test.sh, ctest fs_cache_study):
 #   1. one nnr_cached daemon fronts a fresh cache dir on an ephemeral port;
 #   2. two concurrent `nnr_run --study fig2 --cache-url` clients must
 #      partition the grid via remote leases (combined trained == total,

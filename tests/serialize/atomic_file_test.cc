@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -46,6 +47,29 @@ TEST_F(AtomicFileTest, FailedWriteLeavesTheTargetAndNoTemp) {
   for (const auto& entry : fs::directory_iterator(dir_)) {
     EXPECT_EQ(entry.path(), target) << "leftover: " << entry.path();
   }
+}
+
+TEST_F(AtomicFileTest, ReadFileReturnsTheWholeFileOrNothing) {
+  // 74 KiB, the size of one smallcnn_bn cache entry, with every byte value.
+  std::string bytes(74 * 1024, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131 % 256);
+  }
+  const std::string path = (dir_ / "entry").string();
+  ASSERT_TRUE(write_file_atomic(path, bytes));
+  const std::optional<std::string> read = read_file(path);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(*read == bytes) << "read back " << read->size() << " bytes";
+
+  const std::string empty = (dir_ / "empty").string();
+  ASSERT_TRUE(write_file_atomic(empty, ""));
+  const std::optional<std::string> read_empty = read_file(empty);
+  ASSERT_TRUE(read_empty.has_value());
+  EXPECT_EQ(*read_empty, "");
+
+  EXPECT_FALSE(read_file((dir_ / "missing").string()).has_value());
+  EXPECT_FALSE(read_file(dir_.string()).has_value())
+      << "a directory is not a file";
 }
 
 TEST_F(AtomicFileTest, TempNameCarriesThePid) {

@@ -6,14 +6,18 @@
 // `--study fig1,table2` schedules every queued grid as ONE claim pass with
 // duplicate cells coalesced), and get the paper's stability measures
 // (accuracy mean/stddev, predictive churn, normalized L2 weight distance)
-// as an aligned table or CSV. Every run goes through the study scheduler,
-// so a cache — a directory (--cache-dir / NNR_CACHE_DIR) or a remote
-// nnr_cached daemon (--cache-url / NNR_CACHE_URL) — makes repeated runs
-// near-free: replicates are served bit-for-bit identical to fresh training.
+// as an aligned table or CSV. Every training mode (single-cell, --study,
+// and --submit's warm replay) builds StudyPlans and hands them to one
+// runner, run_plans, so a cache — a directory (--cache-dir /
+// NNR_CACHE_DIR) or a remote nnr_cached daemon (--cache-url /
+// NNR_CACHE_URL) — makes repeated runs near-free: replicates are served
+// bit-for-bit identical to fresh training.
 //
 // Flags are declared once in kFlags below; the parser dispatches from that
 // table and --help is generated from it, so usage text and accepted flags
-// cannot drift apart. The full reference lives in docs/nnr_run.md.
+// cannot drift apart. Parsing settles the mode and resolves every study
+// and optimizer name, so a bad command line fails before anything runs.
+// The full reference lives in docs/nnr_run.md.
 //
 // Usage:
 //   nnr_run --task smallcnn_bn --device V100 --variant impl --replicates 10
@@ -28,7 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -39,9 +42,6 @@
 #include "core/table.h"
 #include "core/tasks.h"
 #include "hw/device.h"
-#include "opt/adam.h"
-#include "opt/rmsprop.h"
-#include "opt/sgd.h"
 #include "report/exporter.h"
 #include "runtime/parse_int.h"
 #include "runtime/thread_pool.h"
@@ -65,31 +65,6 @@ std::optional<core::NoiseVariant> parse_variant(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<core::OptimizerFactory> parse_optimizer(
-    const std::string& name) {
-  if (name == "sgd") {
-    return core::OptimizerFactory{[](std::vector<nn::Param*> p) {
-      return std::make_unique<opt::Sgd>(std::move(p));
-    }};
-  }
-  if (name == "sgd_momentum") {
-    return core::OptimizerFactory{[](std::vector<nn::Param*> p) {
-      return std::make_unique<opt::Sgd>(std::move(p), 0.9F);
-    }};
-  }
-  if (name == "adam") {
-    return core::OptimizerFactory{[](std::vector<nn::Param*> p) {
-      return std::make_unique<opt::Adam>(std::move(p));
-    }};
-  }
-  if (name == "rmsprop") {
-    return core::OptimizerFactory{[](std::vector<nn::Param*> p) {
-      return std::make_unique<opt::RmsProp>(std::move(p));
-    }};
-  }
-  return std::nullopt;
-}
-
 void print_catalog() {
   std::printf("tasks:\n");
   for (const core::TaskInfo& info : core::task_registry()) {
@@ -100,8 +75,12 @@ void print_catalog() {
     std::printf("  %s\n", device.name.c_str());
   }
   std::printf("variants: algo+impl, algo, impl, control\n");
-  std::printf("optimizers: sgd, sgd_momentum, adam, rmsprop "
-              "(default: the recipe's SGD)\n");
+  std::string optimizers;
+  for (const sched::OptimizerDef& def : sched::optimizer_registry()) {
+    optimizers += (optimizers.empty() ? "" : ", ") + def.id;
+  }
+  std::printf("optimizers: %s (default: the recipe's SGD)\n",
+              optimizers.c_str());
   std::printf("studies:\n");
   for (const sched::StudyDef& def : sched::study_registry()) {
     std::printf("  %-32s %s\n", def.id.c_str(), def.description.c_str());
@@ -144,33 +123,33 @@ std::int64_t parse_count_flag(const char* flag, const char* text) {
 /// machine, far below int overflow).
 constexpr std::int64_t kMaxThreadsFlag = 1 << 20;
 
+/// What a run does. Every mode but single-cell has its own flag; flags of
+/// two modes never mix (select_mode).
+enum class Mode { kSingleCell, kStudy, kSubmit, kWorker, kGc };
+
 struct Options {
+  Mode mode = Mode::kSingleCell;
+  bool single_cell_flags_used = false;  // other modes reject these
   std::string task = "smallcnn_bn";
   std::string device = "V100";
-  std::vector<std::string> studies;     // non-empty selects study mode
-  std::string study_file;               // --study-file; appended to studies
-  bool study_mode_requested = false;    // --study/--study-file seen at all
-  bool single_cell_flags_used = false;  // --study rejects these
   std::vector<core::NoiseVariant> variants = {
       core::NoiseVariant::kAlgoPlusImpl};
-  core::OptimizerFactory optimizer;  // empty = recipe SGD
-  std::string optimizer_name;        // "" = recipe SGD
+  const sched::OptimizerDef* optimizer = nullptr;  // nullptr = recipe SGD
   std::int64_t replicates = 0;  // 0 = not given: task preset
   std::int64_t epochs = 0;      // 0 = not given: recipe preset
+  /// The studies --study, --study-file or --submit name, resolved against
+  /// the registry as they are parsed.
+  std::vector<const sched::StudyDef*> studies;
+  std::string study_file;  // --study-file; appended to studies after --study
   int threads = 0;
   bool csv = false;
   bool json = false;
-  bool cache_gc = false;         // --cache-gc maintenance mode
-  std::vector<std::string> submit_studies;  // --submit (fleet coordinator)
-  bool submit_mode = false;      // --submit seen at all
-  bool worker_mode = false;      // --worker (fleet worker loop)
-  std::string out_dir;           // empty = no file export
-  std::string cache_dir;         // empty = NNR_CACHE_DIR, else that value
-  std::string cache_url;         // empty = NNR_CACHE_URL, else that value
-                                 // (single url or comma-separated shard map)
+  std::string out_dir;  // empty = no file export
+  /// Seeded from NNR_CACHE_DIR / NNR_CACHE_URL / NNR_CACHE_BUDGET; the
+  /// flags override. `url` is a single url or a comma-separated shard map.
+  sched::CacheConfig cache;
   bool cache_url_from_flag = false;  // first --cache-url replaces the env
                                      // seed; later ones append shards
-  std::int64_t cache_budget = 0; // bytes; 0 = NNR_CACHE_BUDGET / unlimited
 };
 
 // ---------------------------------------------------------------------------
@@ -179,21 +158,35 @@ struct Options {
 
 void print_usage();
 
-void append_names(std::vector<std::string>& out, const std::string& list) {
+/// The first mode flag picks the run's mode; a flag of another mode is a
+/// usage error, whichever two modes they are.
+void select_mode(Options& o, Mode mode) {
+  if (o.mode != Mode::kSingleCell && o.mode != mode) {
+    usage_error("--study/--study-file, --submit, --worker and --cache-gc "
+                "select different modes; run each as its own command");
+  }
+  o.mode = mode;
+}
+
+/// Resolves the comma-separated study names in `list` against the registry
+/// and appends them; an unknown name is a usage error.
+void add_studies(Options& o, const std::string& list) {
   std::size_t start = 0;
   while (start <= list.size()) {
     const std::size_t comma = list.find(',', start);
     const std::string name =
         list.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-    if (!name.empty()) out.push_back(name);
+    if (!name.empty()) {
+      const sched::StudyDef* def = sched::find_study(name);
+      if (def == nullptr) {
+        usage_error(("unknown study '" + name + "'").c_str());
+      }
+      o.studies.push_back(def);
+    }
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
-}
-
-void append_studies(Options& opts, const std::string& list) {
-  append_names(opts.studies, list);
 }
 
 enum class Section { kSingle, kStudy, kFleet, kMaint, kShared };
@@ -230,10 +223,8 @@ const FlagSpec kFlags[] = {
      "sgd | sgd_momentum | adam | rmsprop\n"
      "(default: the recipe's SGD setting)",
      [](Options& o, const char* v) {
-       const auto factory = parse_optimizer(v);
-       if (!factory) usage_error("unknown --optimizer");
-       o.optimizer = *factory;
-       o.optimizer_name = v;
+       o.optimizer = sched::find_optimizer(v);
+       if (o.optimizer == nullptr) usage_error("unknown --optimizer");
      }},
     {"--replicates", "N", Section::kSingle,
      "independent trainings per cell, N >= 1 (default: task\n"
@@ -252,14 +243,14 @@ const FlagSpec kFlags[] = {
      "scheduled as ONE pass and cells shared between studies\n"
      "train once (coalesced), not once per study",
      [](Options& o, const char* v) {
-       o.study_mode_requested = true;
-       append_studies(o, v);
+       select_mode(o, Mode::kStudy);
+       add_studies(o, v);
      }},
     {"--study-file", "FILE", Section::kStudy,
      "read study names from FILE (one per line or comma-\n"
      "separated; '#' comments), appended to --study's list",
      [](Options& o, const char* v) {
-       o.study_mode_requested = true;
+       select_mode(o, Mode::kStudy);
        o.study_file = v;
      }},
     {"--submit", "LIST", Section::kFleet,
@@ -268,29 +259,29 @@ const FlagSpec kFlags[] = {
      "print fleet-wide progress until workers drain it, then\n"
      "replay the studies locally (warm) for the usual tables",
      [](Options& o, const char* v) {
-       o.submit_mode = true;
-       append_names(o.submit_studies, v);
+       select_mode(o, Mode::kSubmit);
+       add_studies(o, v);
      }},
     {"--worker", nullptr, Section::kFleet,
      "fleet worker: FETCH -> train -> store -> REPORT loop\n"
      "against the daemon's queue (requires --cache-url).\n"
      "Stateless; join or kill workers mid-study freely — a\n"
      "dead worker's cell returns to the queue via its lease",
-     [](Options& o, const char*) { o.worker_mode = true; }},
+     [](Options& o, const char*) { select_mode(o, Mode::kWorker); }},
     {"--cache-gc", nullptr, Section::kMaint,
      "garbage-collect the cache and exit: sweep orphaned .tmp\n"
      "files (dead writers) and unheld lockfiles, evict to the\n"
      "byte budget (LRU: an entry's mtime is its last store or\n"
      "hit). Works on a directory (--cache-dir) or a daemon\n"
      "(--cache-url)",
-     [](Options& o, const char*) { o.cache_gc = true; }},
+     [](Options& o, const char*) { select_mode(o, Mode::kGc); }},
     {"--cache-dir", "DIR", Section::kShared,
      "persistent replicate cache; replicates already on disk\n"
      "are loaded (bitwise identical to retraining) instead of\n"
      "trained. Defaults to NNR_CACHE_DIR when set. Concurrent\n"
      "runs sharing one cache dir partition the grid via\n"
      "per-key advisory locks (each cell trains exactly once)",
-     [](Options& o, const char* v) { o.cache_dir = v; }},
+     [](Options& o, const char* v) { o.cache.dir = v; }},
     {"--cache-url", "URL", Section::kShared,
      "remote replicate cache: tcp://host:port of an nnr_cached\n"
      "daemon, or a comma-separated shard map (tcp://a:1,tcp://b:2)\n"
@@ -300,11 +291,11 @@ const FlagSpec kFlags[] = {
      "(heartbeat-renewed, released on death); an unreachable\n"
      "daemon or shard degrades to local recompute, never an error",
      [](Options& o, const char* v) {
-       if (o.cache_url_from_flag && !o.cache_url.empty()) {
-         o.cache_url += ',';  // repeated flag = grow the shard map
-         o.cache_url += v;
+       if (o.cache_url_from_flag && !o.cache.url.empty()) {
+         o.cache.url += ',';  // repeated flag = grow the shard map
+         o.cache.url += v;
        } else {
-         o.cache_url = v;  // first flag occurrence beats the env seed
+         o.cache.url = v;  // first flag occurrence beats the env seed
          o.cache_url_from_flag = true;
        }
      }},
@@ -315,8 +306,8 @@ const FlagSpec kFlags[] = {
      "0 = unlimited. Filesystem caches only: with --cache-url\n"
      "the budget belongs to the daemon (nnr_cached --budget)",
      [](Options& o, const char* v) {
-       o.cache_budget = parse_int_flag("--cache-budget", v);
-       if (o.cache_budget < 0) {
+       o.cache.budget = parse_int_flag("--cache-budget", v);
+       if (o.cache.budget < 0) {
          usage_error("--cache-budget must be >= 0 (bytes; 0 = unlimited)");
        }
      }},
@@ -423,8 +414,8 @@ const FlagSpec* find_flag(const char* arg) {
   return nullptr;
 }
 
-/// Appends the study names listed in `path` (one per line or comma-
-/// separated; blank lines and '#' comments skipped).
+/// Appends the studies listed in `path` (one per line or comma-separated;
+/// blank lines and '#' comments skipped).
 void load_study_file(Options& opts, const std::string& path) {
   std::ifstream in(path);
   if (!in) usage_error("--study-file: cannot open the file");
@@ -437,18 +428,13 @@ void load_study_file(Options& opts, const std::string& path) {
     for (const char c : line) {
       if (c != ' ' && c != '\t' && c != '\r') trimmed += c;
     }
-    if (!trimmed.empty()) append_studies(opts, trimmed);
+    add_studies(opts, trimmed);
   }
 }
 
 Options parse_args(int argc, char** argv) {
   Options opts;
-  {
-    const sched::CacheConfig env = sched::cache_config_from_env();
-    opts.cache_dir = env.dir;
-    opts.cache_url = env.url;
-    opts.cache_budget = env.budget;
-  }
+  opts.cache = sched::cache_config_from_env();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "-h") == 0) arg = "--help";
@@ -463,57 +449,48 @@ Options parse_args(int argc, char** argv) {
     spec->apply(opts, value);
   }
   if (!opts.study_file.empty()) load_study_file(opts, opts.study_file);
-  if (opts.study_mode_requested && opts.studies.empty()) {
-    usage_error("--study/--study-file named no studies (empty list or a "
-                "file of only comments) — refusing to fall back to "
-                "single-cell mode");
+  if (opts.single_cell_flags_used && opts.mode != Mode::kSingleCell) {
+    usage_error("--task/--device/--variant/--all-variants/--optimizer/"
+                "--replicates/--epochs are single-cell flags; studies run "
+                "fixed registry grids (scale them via NNR_* env knobs)");
   }
-  if (!opts.studies.empty() && opts.single_cell_flags_used) {
-    usage_error("--study runs fixed registry grids; it cannot be combined "
-                "with --task/--device/--variant/--all-variants/--optimizer/"
-                "--replicates/--epochs (scale studies via NNR_* env knobs)");
+  if ((opts.mode == Mode::kStudy || opts.mode == Mode::kSubmit) &&
+      opts.studies.empty()) {
+    usage_error("--study/--study-file/--submit named no studies (empty "
+                "list or a file of only comments)");
   }
-  if (opts.cache_gc && (!opts.studies.empty() || opts.single_cell_flags_used)) {
-    usage_error("--cache-gc is a standalone maintenance mode; combine it "
-                "only with --cache-dir/--cache-url/--cache-budget");
-  }
-  if (opts.submit_mode && opts.submit_studies.empty()) {
-    usage_error("--submit named no studies");
-  }
-  if (opts.submit_mode && opts.worker_mode) {
-    usage_error("--submit and --worker are different roles; run them as "
-                "separate processes");
-  }
-  if ((opts.submit_mode || opts.worker_mode) &&
-      (opts.study_mode_requested || opts.single_cell_flags_used ||
-       opts.cache_gc)) {
-    usage_error("--submit/--worker are standalone fleet modes; they cannot "
-                "be combined with --study/--study-file, single-cell flags, "
-                "or --cache-gc");
-  }
-  if ((opts.submit_mode || opts.worker_mode) && opts.cache_url.empty()) {
+  if ((opts.mode == Mode::kSubmit || opts.mode == Mode::kWorker) &&
+      opts.cache.url.empty()) {
     usage_error("--submit/--worker need the daemon's queue: pass "
                 "--cache-url/NNR_CACHE_URL (tcp://host:port of nnr_cached)");
   }
   return opts;
 }
 
-/// The backend the options select (nullptr = no cache). --cache-url wins
-/// over --cache-dir, mirroring make_cache_backend's env precedence.
-std::unique_ptr<sched::CacheBackend> make_backend(const Options& opts) {
-  sched::CacheConfig config;
-  config.dir = opts.cache_dir;
-  config.url = opts.cache_url;
-  config.budget = opts.cache_budget;
+/// Runs a cache-backend factory; the std::invalid_argument it throws for a
+/// malformed --cache-url is a usage error.
+template <typename Factory>
+auto build_cache(Factory factory) {
   try {
-    return sched::make_cache_backend(config);
+    return factory();
   } catch (const std::invalid_argument& error) {
     usage_error(error.what());
   }
 }
 
+/// The daemon tier the --cache-url map names. The fleet modes need the
+/// concrete tier for its queue shard (shard 0), not just the CacheBackend
+/// interface.
+std::unique_ptr<sched::ShardedCacheBackend> make_tier(const Options& opts) {
+  return build_cache([&] {
+    return sched::make_sharded_cache_backend(
+        sched::split_cache_urls(opts.cache.url));
+  });
+}
+
 int run_cache_gc(const Options& opts) {
-  auto backend = make_backend(opts);
+  const auto backend =
+      build_cache([&] { return sched::make_cache_backend(opts.cache); });
   if (backend == nullptr) {
     usage_error("--cache-gc needs a cache (--cache-dir/NNR_CACHE_DIR or "
                 "--cache-url/NNR_CACHE_URL)");
@@ -529,38 +506,6 @@ int run_cache_gc(const Options& opts) {
               static_cast<long long>(gc.entries),
               static_cast<long long>(gc.bytes));
   return 0;
-}
-
-void emit_table(const Options& opts, const core::TextTable& table,
-                const std::string& experiment, const std::string& slug,
-                const std::string& title) {
-  if (opts.csv) {
-    std::printf("%s", table.render_csv().c_str());
-  } else if (opts.json) {
-    std::printf("%s", report::render_json(table).c_str());
-  } else {
-    std::printf("%s\n", table.render(title).c_str());
-  }
-  if (!opts.out_dir.empty()) {
-    report::Exporter exporter(opts.out_dir);
-    exporter.write(table, experiment, slug, title);
-  }
-}
-
-void report_cache(const sched::StudyResult& result, bool cache_enabled) {
-  if (cache_enabled) {
-    std::fprintf(stderr, "[cache] %s\n",
-                 sched::cache_stats_line(result).c_str());
-  }
-  std::fprintf(stderr, "[study] trained=%lld\n",
-               static_cast<long long>(result.trained));
-}
-
-/// --threads N (> 0) must win over NNR_THREADS (flag > env > hardware), and
-/// a RunOptions cap can only narrow the shared pool — so widen the pool
-/// itself first. Safe here: nothing has run on the pool yet.
-void apply_thread_flag(int threads) {
-  if (threads > 0) runtime::ThreadPool::set_global_threads(threads);
 }
 
 core::TextTable study_table(const sched::StudyPlan& plan,
@@ -580,46 +525,82 @@ core::TextTable study_table(const sched::StudyPlan& plan,
   return table;
 }
 
-int run_study_mode(const Options& opts) {
-  std::vector<const sched::StudyDef*> defs;
-  defs.reserve(opts.studies.size());
-  for (const std::string& name : opts.studies) {
-    const sched::StudyDef* def = sched::find_study(name);
-    if (def == nullptr) {
-      std::fprintf(stderr, "nnr_run: unknown study '%s'\n", name.c_str());
-      usage_error("unknown --study");
-    }
-    defs.push_back(def);
-  }
+/// Single-cell mode as a one-plan batch: one cell per requested variant,
+/// scheduled and cached exactly like the registry studies.
+std::vector<sched::StudyPlan> single_cell_plans(const Options& opts) {
+  const core::TaskInfo* info = core::find_task(opts.task);
+  if (info == nullptr) usage_error("unknown --task");
+  const std::optional<hw::DeviceSpec> device = hw::find_device(opts.device);
+  if (!device) usage_error("unknown --device");
 
+  core::Task task = info->make();
+  if (opts.epochs > 0) task.recipe.epochs = opts.epochs;
   std::vector<sched::StudyPlan> plans;
-  plans.reserve(defs.size());
-  std::vector<const sched::StudyPlan*> plan_ptrs;
-  for (const sched::StudyDef* def : defs) {
-    plans.push_back(def->make_plan());
-    plan_ptrs.push_back(&plans.back());
+  sched::StudyPlan& plan = plans.emplace_back("nnr_run_" + opts.task);
+  const core::Task& owned = plan.own_task(std::move(task));
+  for (const core::NoiseVariant variant : opts.variants) {
+    sched::Cell& cell =
+        plan.add_cell(owned, variant, *device, opts.replicates);
+    if (opts.optimizer != nullptr) {
+      cell.job.make_optimizer = opts.optimizer->make;
+      cell.optimizer_id = opts.optimizer->id;
+    }
   }
+  return plans;
+}
 
-  apply_thread_flag(opts.threads);
-  auto backend = make_backend(opts);
+std::vector<sched::StudyPlan> study_plans(const Options& opts) {
+  std::vector<sched::StudyPlan> plans;
+  plans.reserve(opts.studies.size());
+  for (const sched::StudyDef* def : opts.studies) {
+    plans.push_back(def->make_plan());
+  }
+  return plans;
+}
+
+/// Runs `plans` as one batch against the options' cache, prints and exports
+/// one table per plan, then reports the batch on stderr.
+int run_plans(const Options& opts, const std::vector<sched::StudyPlan>& plans) {
+  const auto backend =
+      build_cache([&] { return sched::make_cache_backend(opts.cache); });
   sched::RunOptions run_opts;
   run_opts.threads = opts.threads;
   run_opts.progress = true;
   run_opts.cache = backend.get();
-  const sched::BatchResult batch = sched::run_batch(plan_ptrs, run_opts);
+  std::vector<const sched::StudyPlan*> batch_plans;
+  for (const sched::StudyPlan& plan : plans) batch_plans.push_back(&plan);
+  const sched::BatchResult batch = sched::run_batch(batch_plans, run_opts);
 
+  report::Exporter exporter(opts.out_dir);
+  const auto emit = [&](const core::TextTable& table,
+                        const std::string& experiment,
+                        const std::string& slug, const std::string& title) {
+    if (opts.csv) {
+      std::printf("%s", table.render_csv().c_str());
+    } else if (opts.json) {
+      std::printf("%s", report::render_json(table).c_str());
+    } else {
+      std::printf("%s\n", table.render(title).c_str());
+    }
+    exporter.write(table, experiment, slug, title);
+  };
   for (std::size_t p = 0; p < plans.size(); ++p) {
     const sched::StudyPlan& plan = plans[p];
-    emit_table(opts, study_table(plan, batch.studies[p]), "study",
-               plan.name(),
-               "study " + plan.name() + " (" + defs[p]->description + ")");
-    if (!opts.out_dir.empty() && backend != nullptr) {
+    const sched::StudyResult& result = batch.studies[p];
+    if (opts.mode == Mode::kSingleCell) {
+      emit(study_table(plan, result), "nnr_run", opts.task,
+           "nnr_run stability summary (" +
+               std::to_string(plan.cells().front().replicates) +
+               " replicates)");
+      continue;
+    }
+    emit(study_table(plan, result), "study", plan.name(),
+         "study " + plan.name() + " (" + opts.studies[p]->description + ")");
+    if (backend != nullptr) {
       // Cache activity as its own artifact — kept out of the study table so
       // cold- and warm-cache runs emit byte-identical study files.
-      report::Exporter exporter(opts.out_dir);
-      exporter.write(sched::cache_stats_table(batch.studies[p]),
-                     "cache_stats", plan.name(),
-                     "replicate cache activity: " + plan.name());
+      exporter.write(sched::cache_stats_table(result), "cache_stats",
+                     plan.name(), "replicate cache activity: " + plan.name());
     }
   }
 
@@ -629,36 +610,20 @@ int run_study_mode(const Options& opts) {
                  static_cast<long long>(batch.deferred));
   }
   // Batch-wide totals in the one grep-able shape scripts rely on.
-  sched::StudyResult totals;
-  totals.cache = batch.cache;
-  totals.trained = batch.trained;
-  report_cache(totals, backend != nullptr);
+  if (backend != nullptr) {
+    std::fprintf(stderr, "[cache] %s\n",
+                 sched::cache_stats_line(batch.cache, batch.trained).c_str());
+  }
+  std::fprintf(stderr, "[study] trained=%lld\n",
+               static_cast<long long>(batch.trained));
   return 0;
 }
 
-/// The cache tier the --cache-url map names. The fleet modes need the
-/// concrete tier for its queue shard (shard 0), not just the CacheBackend
-/// interface.
-std::unique_ptr<sched::ShardedCacheBackend> make_tier(const Options& opts) {
-  try {
-    return sched::make_sharded_cache_backend(
-        sched::split_cache_urls(opts.cache_url));
-  } catch (const std::invalid_argument& error) {
-    usage_error(error.what());
-  }
-}
-
-/// Fleet coordinator: submit the named studies to the daemon's work queue,
-/// wait for the fleet to drain it, then replay the studies locally against
-/// the (now warm) cache so the emitted tables are byte-identical to a
-/// plain `--study` run.
-int run_fleet_submit_mode(const Options& opts) {
-  for (const std::string& name : opts.submit_studies) {
-    if (sched::find_study(name) == nullptr) {
-      std::fprintf(stderr, "nnr_run: unknown study '%s'\n", name.c_str());
-      usage_error("unknown --submit study");
-    }
-  }
+/// Fleet coordinator: once the daemon answers, submit the studies' plans to
+/// its work queue, wait for the fleet to drain it, then replay the same
+/// plans locally against the (now warm) cache so the emitted tables are
+/// byte-identical to a plain `--study` run.
+int run_submit(const Options& opts) {
   // Caveat documented in docs/nnr_run.md: the submit-time "already cached"
   // dedupe only sees the queue shard's directory, so keys owned by other
   // shards enqueue and are then reported kServed by the first worker to
@@ -682,29 +647,26 @@ int run_fleet_submit_mode(const Options& opts) {
     std::fprintf(stderr, "nnr_run: --submit: %s\n", violation->c_str());
     return 1;
   }
-  const auto summary = sched::fleet_submit_and_wait(queue, opts.submit_studies);
-  if (!summary.has_value()) return 1;
-  if (summary->failed > 0) {
+  const std::vector<sched::StudyPlan> plans = study_plans(opts);
+  const auto drained = sched::fleet_submit_and_wait(queue, plans);
+  if (!drained.has_value()) return 1;
+  if (drained->failed > 0) {
     std::fprintf(stderr,
                  "[fleet] %llu cells failed %u attempts and will train "
                  "locally in the replay\n",
-                 static_cast<unsigned long long>(summary->failed),
+                 static_cast<unsigned long long>(drained->failed),
                  sched::FleetQueue::kMaxAttempts);
   }
   tier.reset();  // the replay opens its own connections
-
-  Options warm = opts;
-  warm.studies = opts.submit_studies;
-  return run_study_mode(warm);
+  return run_plans(opts, plans);
 }
 
-int run_fleet_worker_mode(const Options& opts) {
+int run_worker(const Options& opts) {
   auto tier = make_tier(opts);
   if (const auto violation = tier->verify_disjoint()) {
     std::fprintf(stderr, "nnr_run: --worker: %s\n", violation->c_str());
     return 1;
   }
-  apply_thread_flag(opts.threads);
   const sched::FleetWorkerSummary summary = sched::fleet_run_worker(*tier);
   std::fprintf(stderr, "[worker] fetched=%lld trained=%lld served=%lld "
                "failed=%lld\n",
@@ -719,55 +681,16 @@ int run_fleet_worker_mode(const Options& opts) {
 
 int main(int argc, char** argv) {
   const Options opts = parse_args(argc, argv);
-  if (opts.cache_gc) return run_cache_gc(opts);
-  if (opts.submit_mode) return run_fleet_submit_mode(opts);
-  if (opts.worker_mode) return run_fleet_worker_mode(opts);
-  if (!opts.studies.empty()) return run_study_mode(opts);
-
-  const core::TaskInfo* info = core::find_task(opts.task);
-  if (info == nullptr) usage_error("unknown --task");
-
-  const std::optional<hw::DeviceSpec> device = hw::find_device(opts.device);
-  if (!device) usage_error("unknown --device");
-
-  core::Task task = info->make();
-  if (opts.epochs > 0) task.recipe.epochs = opts.epochs;
-  const std::int64_t replicates =
-      opts.replicates > 0 ? opts.replicates : task.default_replicates;
-
-  // The single-cell path is a one-off study: one cell per requested variant,
-  // scheduled and cached exactly like the registry studies.
-  sched::StudyPlan plan("nnr_run_" + opts.task);
-  const core::Task& owned = plan.own_task(std::move(task));
-  for (const core::NoiseVariant variant : opts.variants) {
-    sched::Cell& cell = plan.add_cell(owned, variant, *device, replicates);
-    cell.job.make_optimizer = opts.optimizer;
-    cell.optimizer_id = opts.optimizer_name;
+  // --threads N (> 0) must win over NNR_THREADS (flag > env > hardware), and
+  // a RunOptions cap can only narrow the shared pool — so widen the pool
+  // itself, before anything runs on it.
+  if (opts.threads > 0) runtime::ThreadPool::set_global_threads(opts.threads);
+  switch (opts.mode) {
+    case Mode::kSingleCell: return run_plans(opts, single_cell_plans(opts));
+    case Mode::kStudy: return run_plans(opts, study_plans(opts));
+    case Mode::kSubmit: return run_submit(opts);
+    case Mode::kWorker: return run_worker(opts);
+    case Mode::kGc: return run_cache_gc(opts);
   }
-
-  apply_thread_flag(opts.threads);
-  auto backend = make_backend(opts);
-  sched::RunOptions run_opts;
-  run_opts.threads = opts.threads;
-  run_opts.progress = true;
-  run_opts.cache = backend.get();
-  const sched::StudyResult result = sched::run_plan(plan, run_opts);
-
-  core::TextTable table({"Task", "Device", "Variant", "Mean acc %",
-                         "STDDEV(Acc) %", "Churn %", "L2 Norm"});
-  for (std::size_t c = 0; c < plan.cells().size(); ++c) {
-    const core::VariantSummary summary = core::summarize(result.cells[c]);
-    table.add_row({owned.name, device->name,
-                   std::string(core::variant_name(plan.cells()[c].job.variant)),
-                   core::fmt_float(summary.accuracy_pct(), 2),
-                   core::fmt_float(summary.accuracy_stddev_pct(), 3),
-                   core::fmt_float(summary.churn_pct(), 2),
-                   core::fmt_float(summary.mean_l2, 4)});
-  }
-
-  const std::string title = "nnr_run stability summary (" +
-                            std::to_string(replicates) + " replicates)";
-  emit_table(opts, table, "nnr_run", opts.task, title);
-  report_cache(result, backend != nullptr);
-  return 0;
+  return 2;
 }
