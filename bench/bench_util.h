@@ -61,7 +61,8 @@ inline void banner(const char* figure, const char* description) {
   std::printf("== %s ==\n%s\n", figure, description);
   std::printf(
       "(scaled reproduction: synthetic data + simulated accelerators; see "
-      "DESIGN.md. Scale via NNR_REPLICATES/NNR_EPOCHS/NNR_TRAIN_N/NNR_QUICK; "
+      "PAPER.md, \"Scaled reproduction\". Scale via "
+      "NNR_REPLICATES/NNR_EPOCHS/NNR_TRAIN_N/NNR_QUICK; "
       "set NNR_CACHE_DIR to reuse replicates across benches)\n\n");
 }
 

@@ -1,10 +1,8 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
-#include "data/batcher.h"
 #include "metrics/classification.h"
 #include "nn/loss.h"
 #include "opt/sgd.h"
@@ -14,7 +12,6 @@
 
 namespace nnr::core {
 
-using data::EpochShuffler;
 using data::gather_images;
 using data::gather_labels;
 using rng::Channel;
@@ -60,11 +57,77 @@ EvalResult evaluate_full(nn::Model& model, const data::LabeledImages& split,
   return result;
 }
 
-std::vector<std::int32_t> evaluate(nn::Model& model,
-                                   const data::LabeledImages& split,
-                                   hw::ExecutionContext& hw_ctx,
-                                   std::int64_t batch_size) {
-  return evaluate_full(model, split, hw_ctx, batch_size).predictions;
+ReplicateRun::ReplicateRun(const TrainJob& job, ReplicateIds ids)
+    : ReplicateRun(job, ids, job.toggles()) {}
+
+// Independent noise channels; each is pinned or varying per the toggles. The
+// ALGO bundle keys off ids.algo, the scheduler channel off ids.impl; the
+// named variants run with algo == impl. Each channel is its own stream, so
+// the order they are drawn in here does not matter.
+ReplicateRun::ReplicateRun(const TrainJob& job, ReplicateIds ids,
+                           const ChannelToggles& toggles)
+    : job_(job),
+      augment_gen_(make_channel_generator(job.base_seed, Channel::kAugment,
+                                          ids.algo, toggles.augment_varies)),
+      dropout_gen_(make_channel_generator(job.base_seed, Channel::kDropout,
+                                          ids.algo, toggles.dropout_varies)),
+      hw_ctx_(job.device, toggles.mode,
+              make_channel_generator(job.base_seed, Channel::kScheduler,
+                                     ids.impl, toggles.scheduler_varies)),
+      model_(job.make_model()),
+      shuffler_(job.dataset->train.size(),
+                make_channel_generator(job.base_seed, Channel::kShuffle,
+                                       ids.algo, toggles.shuffle_varies)),
+      ctx_{.hw = &hw_ctx_,
+           .training = true,
+           .dropout = &dropout_gen_,
+           .workspace = &workspace_} {
+  if (job.warm_start_weights) {
+    model_.load_flat_weights(*job.warm_start_weights);
+  } else {
+    rng::Generator init_gen = make_channel_generator(
+        job.base_seed, Channel::kInit, ids.algo, toggles.init_varies);
+    model_.init_weights(init_gen);
+  }
+  optimizer_ =
+      job.make_optimizer
+          ? job.make_optimizer(model_.params())
+          : std::make_unique<opt::Sgd>(model_.params(), job.recipe.momentum);
+}
+
+std::vector<std::uint32_t> ReplicateRun::epoch_order() {
+  return job_.fixed_identity_order ? shuffler_.identity_order()
+                                   : shuffler_.next_epoch_order();
+}
+
+double ReplicateRun::backprop(std::span<const std::uint32_t> batch) {
+  const data::LabeledImages& train = job_.dataset->train;
+  Tensor images = gather_images(train.images, batch);
+  if (job_.recipe.augment) {
+    images = data::augment_batch(images, job_.recipe.augment_config,
+                                 augment_gen_);
+  }
+  const std::vector<std::int32_t> labels = gather_labels(train.labels, batch);
+
+  model_.zero_grads();
+  const Tensor logits = model_.forward(images, ctx_);
+  const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels, ctx_);
+  (void)model_.backward(loss.grad_logits, ctx_);
+  return loss.loss;
+}
+
+RunResult ReplicateRun::finish(double final_train_loss) {
+  const data::LabeledImages& test = job_.dataset->test;
+  EvalResult eval =
+      evaluate_full(model_, test, hw_ctx_, job_.recipe.batch_size);
+  RunResult result;
+  result.final_train_loss = final_train_loss;
+  result.test_predictions = std::move(eval.predictions);
+  result.test_confidences = std::move(eval.confidences);
+  result.test_accuracy =
+      metrics::accuracy(result.test_predictions, test.labels);
+  result.final_weights = model_.flat_weights();
+  return result;
 }
 
 RunResult train_replicate(const TrainJob& job, std::uint64_t replicate) {
@@ -72,90 +135,21 @@ RunResult train_replicate(const TrainJob& job, std::uint64_t replicate) {
 }
 
 RunResult train_replicate(const TrainJob& job, ReplicateIds ids) {
-  assert(job.dataset != nullptr && job.make_model != nullptr);
-  const ChannelToggles toggles =
-      job.toggles_override ? *job.toggles_override : toggles_for(job.variant);
-  const data::LabeledImages& train = job.dataset->train;
-  const data::LabeledImages& test = job.dataset->test;
-
-  // Independent noise channels; each is pinned or varying per the variant.
-  // The ALGO bundle keys off ids.algo, the scheduler channel off ids.impl;
-  // the named variants call this with algo == impl.
-  auto init_gen = make_channel_generator(job.base_seed, Channel::kInit,
-                                         ids.algo, toggles.init_varies);
-  auto shuffle_gen = make_channel_generator(job.base_seed, Channel::kShuffle,
-                                            ids.algo, toggles.shuffle_varies);
-  auto augment_gen = make_channel_generator(job.base_seed, Channel::kAugment,
-                                            ids.algo, toggles.augment_varies);
-  auto dropout_gen = make_channel_generator(job.base_seed, Channel::kDropout,
-                                            ids.algo, toggles.dropout_varies);
-  auto scheduler_gen =
-      make_channel_generator(job.base_seed, Channel::kScheduler, ids.impl,
-                             toggles.scheduler_varies);
-
-  hw::ExecutionContext hw_ctx(job.device, toggles.mode,
-                              std::move(scheduler_gen));
-
-  nn::Model model = job.make_model();
-  if (job.warm_start_weights) {
-    model.load_flat_weights(*job.warm_start_weights);
-  } else {
-    model.init_weights(init_gen);
-  }
-  const std::unique_ptr<opt::Optimizer> optimizer =
-      job.make_optimizer
-          ? job.make_optimizer(model.params())
-          : std::make_unique<opt::Sgd>(model.params(), job.recipe.momentum);
-
-  EpochShuffler shuffler(train.size(), std::move(shuffle_gen));
-  // One scratch arena per replicate: conv/dense reuse their im2col, repack
-  // and gradient staging buffers across every step of the run.
-  tensor::Workspace workspace;
-  nn::RunContext ctx{.hw = &hw_ctx,
-                     .training = true,
-                     .dropout = &dropout_gen,
-                     .workspace = &workspace};
-
+  ReplicateRun run(job, ids);
+  const std::int64_t train_n = job.dataset->train.size();
   double last_loss = 0.0;
   for (std::int64_t epoch = 0; epoch < job.recipe.epochs; ++epoch) {
     const float lr = job.recipe.learning_rate(epoch);
-    const std::vector<std::uint32_t> order = job.fixed_identity_order
-                                                 ? shuffler.identity_order()
-                                                 : shuffler.next_epoch_order();
-    for (std::int64_t start = 0; start < train.size();
+    const std::vector<std::uint32_t> order = run.epoch_order();
+    for (std::int64_t start = 0; start < train_n;
          start += job.recipe.batch_size) {
-      const std::int64_t end =
-          std::min(start + job.recipe.batch_size, train.size());
-      const std::span<const std::uint32_t> batch_idx(
-          order.data() + start, static_cast<std::size_t>(end - start));
-
-      Tensor images = gather_images(train.images, batch_idx);
-      if (job.recipe.augment) {
-        images = data::augment_batch(images, job.recipe.augment_config,
-                                     augment_gen);
-      }
-      const std::vector<std::int32_t> labels =
-          gather_labels(train.labels, batch_idx);
-
-      model.zero_grads();
-      const Tensor logits = model.forward(images, ctx);
-      const nn::LossResult loss =
-          nn::softmax_cross_entropy(logits, labels, ctx);
-      last_loss = loss.loss;
-      (void)model.backward(loss.grad_logits, ctx);
-      optimizer->step(lr);
+      const std::int64_t end = std::min(start + job.recipe.batch_size, train_n);
+      last_loss = run.backprop(std::span<const std::uint32_t>(
+          order.data() + start, static_cast<std::size_t>(end - start)));
+      run.optimizer().step(lr);
     }
   }
-
-  RunResult result;
-  result.final_train_loss = last_loss;
-  EvalResult eval = evaluate_full(model, test, hw_ctx, job.recipe.batch_size);
-  result.test_predictions = std::move(eval.predictions);
-  result.test_confidences = std::move(eval.confidences);
-  result.test_accuracy =
-      metrics::accuracy(result.test_predictions, test.labels);
-  result.final_weights = model.flat_weights();
-  return result;
+  return run.finish(last_loss);
 }
 
 }  // namespace nnr::core

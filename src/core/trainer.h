@@ -1,20 +1,26 @@
 // Single-replicate trainer: one model trained from scratch on a simulated
 // device under a noise variant's channel toggles. This is the unit of work
-// every experiment fans out over.
+// every experiment fans out over. train_replicate and the distributed
+// trainers (distributed/) are loops over one setup, ReplicateRun.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/noise_variant.h"
 #include "core/recipe.h"
+#include "data/batcher.h"
 #include "data/dataset.h"
 #include "hw/device.h"
+#include "hw/execution_context.h"
 #include "nn/model.h"
 #include "opt/optimizer.h"
+#include "rng/generator.h"
+#include "tensor/workspace.h"
 
 namespace nnr::core {
 
@@ -60,6 +66,12 @@ struct TrainJob {
   /// "launch and iterate" churn mitigation (core/churn_reduction.h). The
   /// init channel is not consumed at all in this mode.
   std::optional<std::vector<float>> warm_start_weights;
+
+  /// The channel toggles this job trains under: the override when set,
+  /// otherwise the variant's.
+  [[nodiscard]] ChannelToggles toggles() const {
+    return toggles_override ? *toggles_override : toggles_for(variant);
+  }
 };
 
 /// Trains replicate `replicate` of `job` and evaluates on the test split.
@@ -80,10 +92,58 @@ struct ReplicateIds {
 /// work for the two-way variance-decomposition study (stats/anova.h).
 [[nodiscard]] RunResult train_replicate(const TrainJob& job, ReplicateIds ids);
 
-/// Evaluates `model` on a split (argmax predictions), batched.
-[[nodiscard]] std::vector<std::int32_t> evaluate(
-    nn::Model& model, const data::LabeledImages& split,
-    hw::ExecutionContext& hw_ctx, std::int64_t batch_size);
+/// One replicate's training state. Construction draws the five noise
+/// channels (the ALGO bundle keyed off ids.algo, the scheduler off ids.impl;
+/// each pinned or varying per job.toggles()), builds the simulated device
+/// context, the model (job.warm_start_weights, else the init channel) and
+/// the optimizer (job.make_optimizer, else SGD with the recipe's momentum).
+/// A trainer then alternates backprop() with its own optimizer steps and
+/// ends with finish().
+///
+/// Holds a reference to `job`, which must outlive it and have its dataset
+/// and make_model set. Its RunContext points at its own members, so it is
+/// neither copied nor moved.
+class ReplicateRun {
+ public:
+  ReplicateRun(const TrainJob& job, ReplicateIds ids);
+  ReplicateRun(TrainJob&&, ReplicateIds) = delete;  // would dangle
+  ReplicateRun(const ReplicateRun&) = delete;
+  ReplicateRun& operator=(const ReplicateRun&) = delete;
+
+  /// The next epoch's example order: a fresh draw from the shuffle channel,
+  /// or the identity order under job.fixed_identity_order.
+  [[nodiscard]] std::vector<std::uint32_t> epoch_order();
+
+  /// One gradient on `batch` (indices into the train split): gather,
+  /// augment, zero the gradients, forward, loss, backward. Leaves the
+  /// gradient in the model's params and returns the batch's mean loss.
+  double backprop(std::span<const std::uint32_t> batch);
+
+  /// Evaluates the model on the test split and packages the result.
+  [[nodiscard]] RunResult finish(double final_train_loss);
+
+  [[nodiscard]] nn::Model& model() noexcept { return model_; }
+  [[nodiscard]] opt::Optimizer& optimizer() noexcept { return *optimizer_; }
+  [[nodiscard]] const hw::ExecutionContext& hw() const noexcept {
+    return hw_ctx_;
+  }
+
+ private:
+  ReplicateRun(const TrainJob& job, ReplicateIds ids,
+               const ChannelToggles& toggles);
+
+  const TrainJob& job_;
+  rng::Generator augment_gen_;
+  rng::Generator dropout_gen_;
+  hw::ExecutionContext hw_ctx_;
+  nn::Model model_;
+  std::unique_ptr<opt::Optimizer> optimizer_;
+  data::EpochShuffler shuffler_;
+  // One scratch arena per replicate: conv/dense reuse their im2col, repack
+  // and gradient staging buffers across every step of the run.
+  tensor::Workspace workspace_;
+  nn::RunContext ctx_;
+};
 
 /// Predictions plus per-example argmax softmax confidence.
 struct EvalResult {
@@ -91,8 +151,8 @@ struct EvalResult {
   std::vector<float> confidences;
 };
 
-/// Evaluation that also records confidences (one forward pass; evaluate()
-/// is this with the confidences dropped).
+/// Evaluates `model` on a split, batched: argmax predictions and their
+/// confidences from one forward pass.
 [[nodiscard]] EvalResult evaluate_full(nn::Model& model,
                                        const data::LabeledImages& split,
                                        hw::ExecutionContext& hw_ctx,

@@ -1,5 +1,5 @@
 // Procedural class-conditional image generator — the CIFAR-10/100 and
-// ImageNet stand-ins (DESIGN.md, substitution table).
+// ImageNet stand-ins (PAPER.md, "Scaled reproduction").
 //
 // Each class is a randomized superposition of sinusoidal gratings (a smooth
 // "texture prototype"); samples are translated, contrast-jittered, noisy

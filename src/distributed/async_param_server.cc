@@ -2,57 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <optional>
 #include <vector>
 
-#include "data/batcher.h"
-#include "metrics/classification.h"
-#include "nn/loss.h"
-#include "opt/sgd.h"
 #include "rng/seed_channels.h"
 
 namespace nnr::distributed {
 
-using core::ChannelToggles;
 using core::RunResult;
 using core::TrainJob;
-using data::EpochShuffler;
-using data::gather_images;
-using data::gather_labels;
 using rng::Channel;
 using rng::make_channel_generator;
-using tensor::Tensor;
 
 namespace {
-
-std::vector<float> save_flat(const std::vector<nn::Param*>& params) {
-  std::vector<float> flat;
-  for (const nn::Param* p : params) {
-    const auto view = p->value.data();
-    flat.insert(flat.end(), view.begin(), view.end());
-  }
-  return flat;
-}
-
-void load_flat(const std::vector<nn::Param*>& params,
-               const std::vector<float>& flat) {
-  std::size_t offset = 0;
-  for (nn::Param* p : params) {
-    auto view = p->value.data();
-    std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(offset),
-                view.size(), view.begin());
-    offset += view.size();
-  }
-  assert(offset == flat.size());
-}
 
 /// Serves mini-batch shards across epochs: each shard carries the indices of
 /// its examples and the learning rate of its epoch.
 class ShardStream {
  public:
-  ShardStream(const TrainJob& job, EpochShuffler shuffler)
-      : job_(job), shuffler_(std::move(shuffler)) {}
+  ShardStream(const TrainJob& job, core::ReplicateRun& run)
+      : job_(job), run_(run) {}
 
   struct Shard {
     std::vector<std::uint32_t> indices;
@@ -67,10 +36,7 @@ class ShardStream {
       cursor_ = 0;
       order_.clear();
     }
-    if (order_.empty()) {
-      order_ = job_.fixed_identity_order ? shuffler_.identity_order()
-                                         : shuffler_.next_epoch_order();
-    }
+    if (order_.empty()) order_ = run_.epoch_order();
     const std::int64_t end =
         std::min(cursor_ + job_.recipe.batch_size, train_n);
     Shard shard;
@@ -82,7 +48,7 @@ class ShardStream {
 
  private:
   const TrainJob& job_;
-  EpochShuffler shuffler_;
+  core::ReplicateRun& run_;
   std::vector<std::uint32_t> order_;
   std::int64_t epoch_ = 0;
   std::int64_t cursor_ = 0;
@@ -92,40 +58,15 @@ class ShardStream {
 
 RunResult train_replicate_async(const TrainJob& job, const AsyncConfig& config,
                                 std::uint64_t replicate) {
-  assert(job.dataset != nullptr && job.make_model != nullptr);
   assert(config.workers >= 1);
-  const ChannelToggles toggles = job.toggles_override
-                                     ? *job.toggles_override
-                                     : toggles_for(job.variant);
-  const data::LabeledImages& train = job.dataset->train;
-  const data::LabeledImages& test = job.dataset->test;
-
-  auto init_gen = make_channel_generator(job.base_seed, Channel::kInit,
-                                         replicate, toggles.init_varies);
-  auto shuffle_gen = make_channel_generator(job.base_seed, Channel::kShuffle,
-                                            replicate, toggles.shuffle_varies);
-  auto augment_gen = make_channel_generator(job.base_seed, Channel::kAugment,
-                                            replicate, toggles.augment_varies);
-  auto dropout_gen = make_channel_generator(job.base_seed, Channel::kDropout,
-                                            replicate, toggles.dropout_varies);
-  auto scheduler_gen =
-      make_channel_generator(job.base_seed, Channel::kScheduler, replicate,
-                             toggles.scheduler_varies);
+  core::ReplicateRun run(job, core::ReplicateIds{replicate, replicate});
+  nn::Model& model = run.model();
+  const bool scheduler_varies = job.toggles().scheduler_varies;
   // The push/pull arrival order is its own consumer of scheduler entropy.
-  auto arrival_gen = make_channel_generator(
-      job.base_seed ^ 0xA517C0DEull, Channel::kScheduler, replicate,
-      toggles.scheduler_varies);
-
-  hw::ExecutionContext hw_ctx(job.device, toggles.mode,
-                              std::move(scheduler_gen));
-
-  nn::Model model = job.make_model();
-  model.init_weights(init_gen);
-  const std::vector<nn::Param*> params = model.params();
-  opt::Sgd optimizer(params, job.recipe.momentum);
-
-  nn::RunContext ctx{.hw = &hw_ctx, .training = true, .dropout = &dropout_gen};
-  ShardStream stream(job, EpochShuffler(train.size(), std::move(shuffle_gen)));
+  auto arrival_gen =
+      make_channel_generator(job.base_seed ^ 0xA517C0DEull,
+                             Channel::kScheduler, replicate, scheduler_varies);
+  ShardStream stream(job, run);
 
   // Server state lives in the model params between completions; each
   // in-flight worker holds the weight snapshot it fetched plus its shard.
@@ -136,7 +77,7 @@ RunResult train_replicate_async(const TrainJob& job, const AsyncConfig& config,
   std::vector<std::optional<InFlight>> in_flight(
       static_cast<std::size_t>(config.workers));
 
-  std::vector<float> server = save_flat(params);
+  std::vector<float> server = model.flat_weights();
   for (int w = 0; w < config.workers; ++w) {
     if (auto shard = stream.next()) {
       in_flight[static_cast<std::size_t>(w)] =
@@ -146,8 +87,7 @@ RunResult train_replicate_async(const TrainJob& job, const AsyncConfig& config,
 
   // Arrivals are deterministic round-robin unless shuffled arrivals are
   // requested AND the run is in the nondeterministic regime.
-  const bool shuffle_arrivals =
-      config.shuffled_arrivals && toggles.scheduler_varies;
+  const bool shuffle_arrivals = config.shuffled_arrivals && scheduler_varies;
 
   double last_loss = 0.0;
   std::vector<std::uint32_t> round_order;
@@ -169,25 +109,14 @@ RunResult train_replicate_async(const TrainJob& job, const AsyncConfig& config,
       in_flight[w].reset();
 
       // Compute the gradient against the (stale) fetched snapshot.
-      load_flat(params, work.snapshot);
-      Tensor images = gather_images(train.images, work.shard.indices);
-      if (job.recipe.augment) {
-        images = data::augment_batch(images, job.recipe.augment_config,
-                                     augment_gen);
-      }
-      const std::vector<std::int32_t> labels =
-          gather_labels(train.labels, work.shard.indices);
-      model.zero_grads();
-      const Tensor logits = model.forward(images, ctx);
-      const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels, ctx);
-      last_loss = loss.loss;
-      (void)model.backward(loss.grad_logits, ctx);
+      model.load_flat_weights(work.snapshot);
+      last_loss = run.backprop(work.shard.indices);
 
       // Apply to the *current* server weights (the async step), then the
       // worker immediately fetches and takes the next shard.
-      load_flat(params, server);
-      optimizer.step(work.shard.learning_rate);
-      server = save_flat(params);
+      model.load_flat_weights(server);
+      run.optimizer().step(work.shard.learning_rate);
+      server = model.flat_weights();
 
       if (auto shard = stream.next()) {
         in_flight[w] = InFlight{server, *std::move(shard)};
@@ -195,14 +124,11 @@ RunResult train_replicate_async(const TrainJob& job, const AsyncConfig& config,
     }
   }
 
-  load_flat(params, server);
-  RunResult result;
-  result.final_train_loss = last_loss;
-  result.test_predictions =
-      core::evaluate(model, test, hw_ctx, job.recipe.batch_size);
-  result.test_accuracy =
-      metrics::accuracy(result.test_predictions, test.labels);
-  result.final_weights = model.flat_weights();
+  // Every apply ends with the model holding the server weights.
+  RunResult result = run.finish(last_loss);
+  // This trainer's cache entries have always been stored without
+  // confidences, and a cell key must keep addressing the same bytes.
+  result.test_confidences.clear();
   return result;
 }
 

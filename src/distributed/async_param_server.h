@@ -33,8 +33,11 @@ struct AsyncConfig {
 };
 
 /// Trains one replicate of `job` under the asynchronous parameter-server
-/// model and evaluates on the test split. With workers == 1 the schedule
-/// degenerates to sequential SGD (fetch -> compute -> apply per batch).
+/// model and evaluates on the test split, on core::ReplicateRun (so the
+/// job's optimizer and warm start hold). With workers == 1 the schedule
+/// degenerates to sequential training (fetch -> compute -> apply per batch)
+/// and the result equals core::train_replicate's bit for bit, minus the test
+/// confidences.
 [[nodiscard]] core::RunResult train_replicate_async(
     const core::TrainJob& job, const AsyncConfig& config,
     std::uint64_t replicate);

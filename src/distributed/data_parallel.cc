@@ -4,70 +4,32 @@
 #include <cassert>
 #include <vector>
 
-#include "data/batcher.h"
-#include "metrics/classification.h"
-#include "nn/loss.h"
-#include "opt/sgd.h"
 #include "rng/seed_channels.h"
-#include "tensor/ops.h"
 
 namespace nnr::distributed {
 
-using core::ChannelToggles;
 using core::RunResult;
 using core::TrainJob;
-using data::EpochShuffler;
-using data::gather_images;
-using data::gather_labels;
 using rng::Channel;
 using rng::make_channel_generator;
-using tensor::Tensor;
 
 RunResult train_replicate_distributed(const TrainJob& job,
                                       const DistributedConfig& config,
                                       std::uint64_t replicate) {
-  assert(job.dataset != nullptr && job.make_model != nullptr);
   assert(config.workers >= 1);
-  const ChannelToggles toggles = job.toggles_override
-                                     ? *job.toggles_override
-                                     : toggles_for(job.variant);
-  const data::LabeledImages& train = job.dataset->train;
-  const data::LabeledImages& test = job.dataset->test;
-
-  auto init_gen = make_channel_generator(job.base_seed, Channel::kInit,
-                                         replicate, toggles.init_varies);
-  auto shuffle_gen = make_channel_generator(job.base_seed, Channel::kShuffle,
-                                            replicate, toggles.shuffle_varies);
-  auto augment_gen = make_channel_generator(job.base_seed, Channel::kAugment,
-                                            replicate, toggles.augment_varies);
-  auto dropout_gen = make_channel_generator(job.base_seed, Channel::kDropout,
-                                            replicate, toggles.dropout_varies);
-  auto scheduler_gen =
-      make_channel_generator(job.base_seed, Channel::kScheduler, replicate,
-                             toggles.scheduler_varies);
+  core::ReplicateRun run(job, core::ReplicateIds{replicate, replicate});
   // A separate entropy stream for the collective's arrival order (a
   // different consumer of the same logical scheduler channel).
   auto collective_gen = make_channel_generator(
       job.base_seed ^ 0xD157C0DEull, Channel::kScheduler, replicate,
-      toggles.scheduler_varies);
-
-  hw::ExecutionContext hw_ctx(job.device, toggles.mode,
-                              std::move(scheduler_gen));
-
-  nn::Model model = job.make_model();
-  model.init_weights(init_gen);
-  opt::Sgd optimizer(model.params(), job.recipe.momentum);
-  const std::vector<nn::Param*> params = model.params();
+      job.toggles().scheduler_varies);
+  const std::vector<nn::Param*> params = run.model().params();
 
   // The collective algorithm: deterministic modes (and TPU pods) use the
   // fixed tree; default GPU clusters use the configured (shuffled) order.
-  const bool deterministic_collective = hw_ctx.fully_deterministic();
-  const AllReduceAlgo algo = deterministic_collective
+  const AllReduceAlgo algo = run.hw().fully_deterministic()
                                  ? AllReduceAlgo::kTreeFixed
                                  : config.default_allreduce;
-
-  EpochShuffler shuffler(train.size(), std::move(shuffle_gen));
-  nn::RunContext ctx{.hw = &hw_ctx, .training = true, .dropout = &dropout_gen};
 
   // Per-worker gradient buffers, parallel to params.
   std::vector<std::vector<std::vector<float>>> worker_grads(
@@ -79,16 +41,14 @@ RunResult train_replicate_distributed(const TrainJob& job,
     }
   }
 
+  const std::int64_t train_n = job.dataset->train.size();
   double last_loss = 0.0;
   for (std::int64_t epoch = 0; epoch < job.recipe.epochs; ++epoch) {
     const float lr = job.recipe.learning_rate(epoch);
-    const std::vector<std::uint32_t> order = job.fixed_identity_order
-                                                 ? shuffler.identity_order()
-                                                 : shuffler.next_epoch_order();
-    for (std::int64_t start = 0; start < train.size();
+    const std::vector<std::uint32_t> order = run.epoch_order();
+    for (std::int64_t start = 0; start < train_n;
          start += job.recipe.batch_size) {
-      const std::int64_t end =
-          std::min(start + job.recipe.batch_size, train.size());
+      const std::int64_t end = std::min(start + job.recipe.batch_size, train_n);
       const std::int64_t global_batch = end - start;
       const int active_workers = static_cast<int>(std::min<std::int64_t>(
           config.workers, global_batch));
@@ -103,21 +63,8 @@ RunResult train_replicate_distributed(const TrainJob& job,
         const std::span<const std::uint32_t> shard_idx(
             order.data() + shard_begin,
             static_cast<std::size_t>(shard_end - shard_begin));
-
-        Tensor images = gather_images(train.images, shard_idx);
-        if (job.recipe.augment) {
-          images = data::augment_batch(images, job.recipe.augment_config,
-                                       augment_gen);
-        }
-        const std::vector<std::int32_t> labels =
-            gather_labels(train.labels, shard_idx);
-
-        model.zero_grads();
-        const Tensor logits = model.forward(images, ctx);
-        const nn::LossResult loss =
-            nn::softmax_cross_entropy(logits, labels, ctx);
-        loss_acc += loss.loss * static_cast<double>(shard_idx.size());
-        (void)model.backward(loss.grad_logits, ctx);
+        loss_acc +=
+            run.backprop(shard_idx) * static_cast<double>(shard_idx.size());
 
         // Snapshot this worker's gradient, weighted so the all-reduced sum
         // equals the global-batch mean-loss gradient.
@@ -142,17 +89,14 @@ RunResult train_replicate_distributed(const TrainJob& job,
         }
         allreduce_sum(buffers, params[p]->grad.data(), algo, &collective_gen);
       }
-      optimizer.step(lr);
+      run.optimizer().step(lr);
     }
   }
 
-  RunResult result;
-  result.final_train_loss = last_loss;
-  result.test_predictions =
-      core::evaluate(model, test, hw_ctx, job.recipe.batch_size);
-  result.test_accuracy =
-      metrics::accuracy(result.test_predictions, test.labels);
-  result.final_weights = model.flat_weights();
+  RunResult result = run.finish(last_loss);
+  // This trainer's cache entries have always been stored without
+  // confidences, and a cell key must keep addressing the same bytes.
+  result.test_confidences.clear();
   return result;
 }
 

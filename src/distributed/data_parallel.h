@@ -28,8 +28,9 @@ struct DistributedConfig {
 };
 
 /// Trains one replicate of `job` with simulated data-parallel workers and
-/// evaluates on the test split. With config.workers == 1 this degrades to a
-/// semantic twin of core::train_replicate (same math, same noise channels).
+/// evaluates on the test split, on core::ReplicateRun (so the job's optimizer
+/// and warm start hold). With config.workers == 1 the result equals
+/// core::train_replicate's bit for bit, minus the test confidences.
 [[nodiscard]] core::RunResult train_replicate_distributed(
     const core::TrainJob& job, const DistributedConfig& config,
     std::uint64_t replicate);

@@ -4,8 +4,8 @@
 // and ResNet-50 at full scale on GPUs. This reproduction runs on CPU inside
 // a simulated-accelerator substrate, so every architecture keeps its paper
 // topology (depth pattern, BN placement, residual wiring, pooling scheme) at
-// reduced width and input resolution (16x16). DESIGN.md documents the
-// substitution; EXPERIMENTS.md records the resulting metric scales.
+// reduced width and input resolution (16x16). PAPER.md, "Scaled
+// reproduction", documents the substitution and its effect on metric scales.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,8 @@
 // Calibration targets (paper Fig. 8): the medium-CNN overhead spans roughly
 // 284%-746% on P100, 129%-241% on V100, and 117%-196% on T4 as the kernel
 // grows 1x1 -> 7x7; per-network overheads on V100 span ~101% (MobileNet) to
-// ~185% (VGG19). EXPERIMENTS.md records model-vs-paper numbers.
+// ~185% (VGG19). bench/fig8_overhead prints the model's numbers beside the
+// paper's ranges.
 #pragma once
 
 #include <cstdint>

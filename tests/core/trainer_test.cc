@@ -74,22 +74,6 @@ TEST_F(TrainerTest, ConfidencesAlignWithPredictions) {
   }
 }
 
-TEST_F(TrainerTest, EvaluateFullPredictionsMatchEvaluate) {
-  // evaluate() is evaluate_full() minus the confidences — same forward
-  // pass, same predictions.
-  TrainJob job = small_job(dataset_, NoiseVariant::kControl);
-  nn::Model model = job.make_model();
-  rng::Generator init(5);
-  model.init_weights(init);
-  hw::ExecutionContext hw_a(job.device, hw::DeterminismMode::kDeterministic,
-                            rng::Generator(0));
-  hw::ExecutionContext hw_b(job.device, hw::DeterminismMode::kDeterministic,
-                            rng::Generator(0));
-  const auto full = evaluate_full(model, dataset_->test, hw_a, 32);
-  const auto preds = evaluate(model, dataset_->test, hw_b, 32);
-  EXPECT_EQ(full.predictions, preds);
-}
-
 TEST_F(TrainerTest, EvaluateMatchesStoredPredictionsSize) {
   const TrainJob job = small_job(dataset_, NoiseVariant::kControl);
   const RunResult result = train_replicate(job, 0);

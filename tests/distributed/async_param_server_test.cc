@@ -2,9 +2,12 @@
 // and the degenerate single-worker case.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/study.h"
 #include "core/tasks.h"
 #include "distributed/async_param_server.h"
+#include "single_device_twin.h"
 
 namespace nnr::distributed {
 namespace {
@@ -113,14 +116,19 @@ TEST(AsyncParamServer, SingleWorkerMatchesSynchronousTrainerBitwise) {
   // fetch -> compute -> apply with one worker consumes every noise channel
   // in exactly the order core::train_replicate does, so the two trainers
   // must agree to the bit — the strongest equivalence statement between the
-  // distributed and single-device code paths.
+  // distributed and single-device code paths. The job's optimizer and warm
+  // start must be honoured too.
   Task task = tiny_task();
   const TrainJob job = task.job(NoiseVariant::kAlgoPlusImpl, hw::v100());
-  const core::RunResult sync = core::train_replicate(job, 3);
   const AsyncConfig config{.workers = 1, .shuffled_arrivals = true};
-  const RunResult async = train_replicate_async(job, config, 3);
-  EXPECT_EQ(sync.final_weights, async.final_weights);
-  EXPECT_EQ(sync.test_predictions, async.test_predictions);
+  const std::pair<const char*, TrainJob> cases[] = {
+      {"SGD", job},
+      {"Adam, warm start", testutil::with_adam_and_warm_start(job)}};
+  for (const auto& [label, j] : cases) {
+    SCOPED_TRACE(label);
+    testutil::expect_bitwise_equal(core::train_replicate(j, 3),
+                                   train_replicate_async(j, config, 3));
+  }
 }
 
 TEST(AsyncParamServer, AccuracyComparableToSynchronousTraining) {

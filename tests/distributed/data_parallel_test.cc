@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/replicates.h"
 #include "core/study.h"
 #include "data/synth_images.h"
 #include "nn/zoo.h"
+#include "single_device_twin.h"
 
 namespace nnr::distributed {
 namespace {
@@ -90,16 +93,21 @@ TEST_F(DataParallelTest, MoreWorkersThanExamplesClamps) {
 }
 
 TEST_F(DataParallelTest, SingleWorkerMatchesSingleDeviceSemantics) {
-  // workers=1 must follow the same noise-channel consumption as the
-  // single-device trainer: CONTROL mode gives a deterministic run whose
-  // accuracy tracks core::train_replicate closely.
-  const core::TrainJob j = job(core::NoiseVariant::kControl);
-  const core::RunResult single_device = core::train_replicate(j, 0);
-  const core::RunResult one_worker = train_replicate_distributed(
-      j, DistributedConfig{.workers = 1}, 0);
-  EXPECT_EQ(single_device.test_predictions.size(),
-            one_worker.test_predictions.size());
-  EXPECT_NEAR(single_device.test_accuracy, one_worker.test_accuracy, 0.25);
+  // workers=1 runs the single-device step: one shard, weight 1, and a
+  // one-buffer all-reduce, on the same replicate setup. The results must
+  // agree to the bit, with the job's optimizer and warm start honoured.
+  const DistributedConfig config{.workers = 1};
+  const std::pair<const char*, core::TrainJob> cases[] = {
+      {"CONTROL", job(core::NoiseVariant::kControl)},
+      {"ALGO+IMPL", job(core::NoiseVariant::kAlgoPlusImpl)},
+      {"ALGO+IMPL, Adam, warm start",
+       testutil::with_adam_and_warm_start(
+           job(core::NoiseVariant::kAlgoPlusImpl))}};
+  for (const auto& [label, j] : cases) {
+    SCOPED_TRACE(label);
+    testutil::expect_bitwise_equal(core::train_replicate(j, 0),
+                                   train_replicate_distributed(j, config, 0));
+  }
 }
 
 }  // namespace

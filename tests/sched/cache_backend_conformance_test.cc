@@ -604,23 +604,12 @@ TEST_F(RemoteCacheTest, RemoteGcSweepsOrphansInTheDaemonDir) {
   EXPECT_FALSE(fs::exists(orphan));
 }
 
-/// Client options for the entry-ceiling tests. Encoding, writing and
-/// reading a 64 MiB entry takes seconds in a sanitizer build, so the lease
-/// and the I/O window must outlast that, or a slow build would drop the
-/// lease or the connection the tests check.
-RemoteCacheOptions ceiling_options() {
-  RemoteCacheOptions options = fast_options();
-  options.lease_ttl_ms = 60'000;
-  options.io_timeout_ms = 60'000;
-  return options;
-}
-
 // The entry ceiling, client side: a store over it is dropped before it is
 // sent, so the client keeps its connection and every lease riding on it.
 TEST_F(RemoteCacheTest, OverCeilingStoreIsDroppedAndKeepsTheLease) {
   ASSERT_TRUE(server_.start(dir_.string()));
-  auto owner = client(ceiling_options());
-  auto peer = client(ceiling_options());
+  auto owner = client(fast_options());
+  auto peer = client(fast_options());
   const CellKey key{91, 91};
   const auto lease = owner->try_claim(key);
   ASSERT_TRUE(lease.has_value());
@@ -650,7 +639,7 @@ TEST_F(RemoteCacheTest, OverCeilingEntryOnDiskIsServedAsAMiss) {
   ASSERT_TRUE(local.store(key, over_ceiling_result()));
   ASSERT_GT(fs::file_size(local.path_for(key)), net::kMaxEntryBytes);
 
-  auto backend = client(ceiling_options());
+  auto backend = client(fast_options());
   ASSERT_TRUE(backend->ping());
   const std::uint64_t connection = backend->connection_id();
   CacheStats run;
