@@ -1,6 +1,6 @@
 // Micro benchmarks for the tensor fast path: GEMM (blocked engine vs the
 // seed reference loop, per accumulation order, plus gemm_nn's untransposed
-// B), transpose, im2col, and a Conv2D forward/backward step at
+// B), transpose, im2col, col2im, and a Conv2D forward/backward step at
 // paper-relevant shapes. Emits BENCH_tensor.json (path = argv[1], default
 // ./BENCH_tensor.json) so the repo's perf trajectory is recorded and
 // regressions are visible in CI.
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
                 ns);
   }
 
-  // --- im2col + Conv2D step at the paper's CIFAR block shape. --------------
+  // --- im2col, col2im + Conv2D step at the paper's CIFAR block shape. ------
   {
     const std::int64_t batch = quick ? 8 : 32;
     const nnr::tensor::ConvGeometry g{.batch = batch,
@@ -206,6 +206,16 @@ int main(int argc, char** argv) {
                     0.0, 0.0});
     std::printf("%-24s %s  %10.0f ns\n", "im2col_k3s1p1",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), ns);
+
+    Tensor grad_input(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+    const double col2im_ns = ns_per_step(
+        [&] { nnr::tensor::col2im(cols, g, grad_input); }, reps);
+    rows.push_back({"col2im_k3s1p1",
+                    dims({batch, g.in_channels, g.in_h, g.in_w}), threads,
+                    col2im_ns, 0.0, 0.0});
+    std::printf("%-24s %s  %10.0f ns\n", "col2im_k3s1p1",
+                dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(),
+                col2im_ns);
 
     nnr::hw::ExecutionContext hw_ctx(nnr::hw::v100(),
                                      nnr::hw::DeterminismMode::kDeterministic,

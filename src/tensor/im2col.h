@@ -41,9 +41,11 @@ struct ConvGeometry {
 /// (shape {N*OH*OW, C*K*K}). Out-of-bounds taps read as zero.
 void im2col(const Tensor& input, const ConvGeometry& geom, Tensor& cols);
 
-/// Scatter-adds `cols` (shape {N*OH*OW, C*K*K}) back into `grad_input`
-/// (shape {N, C, H, W}); the inverse of im2col for gradient routing.
-/// grad_input is zeroed first.
+/// Sums `cols` (shape {N*OH*OW, C*K*K}) back into `grad_input`
+/// (shape {N, C, H, W}); the inverse of im2col for gradient routing. Each
+/// grad_input element is a float32 sum that starts from +0.0F and takes its
+/// addends in ascending (oy, ox) order, whatever the host thread count;
+/// tensor_tests pins that order bit for bit.
 void col2im(const Tensor& cols, const ConvGeometry& geom, Tensor& grad_input);
 
 }  // namespace nnr::tensor

@@ -10,6 +10,8 @@
 // launch).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -29,11 +31,15 @@ Tensor random_tensor(Shape shape, std::uint64_t seed) {
   return t;
 }
 
+// Compares bit patterns, so +0.0F and -0.0F differ.
 void expect_bitwise_equal(const Tensor& a, const Tensor& b,
                           const char* what) {
   ASSERT_EQ(a.numel(), b.numel());
   for (std::int64_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a.at(i), b.at(i)) << what << " diverged at flat index " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.at(i)),
+              std::bit_cast<std::uint32_t>(b.at(i)))
+        << what << " diverged at flat index " << i << ": " << a.at(i)
+        << " vs " << b.at(i);
   }
 }
 
@@ -212,35 +218,55 @@ void col2im_naive(const Tensor& cols, const ConvGeometry& g, Tensor& grad) {
   }
 }
 
+// Kernels 1 and 3 take im2col's fixed-width copies, 2, 5 and 7 its runtime
+// width. The inputs put the last output of a stride-2 row on the right edge
+// (8x8) and leave no interior pixel for kernels of 3 and up (3x2). col2im
+// runs on random cols, whose addends for one element differ (im2col's output
+// would hand it copies of one value, which sum alike in any order), and on
+// a cols of -0.0F: only that input tells a sum started from +0.0F from one
+// started from its first addend.
 TEST(Im2colFastPath, BitwiseEqualToNaiveAcrossGeometries) {
-  const std::int64_t kernels[] = {1, 3, 5};
+  const std::int64_t kernels[] = {1, 2, 3, 5, 7};
   const std::int64_t strides[] = {1, 2};
-  const std::int64_t pads[] = {0, 1, 2};
+  const std::int64_t pads[] = {0, 1, 2, 3};
+  const std::int64_t sizes[][2] = {{11, 9}, {8, 8}, {3, 2}};
   for (std::int64_t kernel : kernels) {
     for (std::int64_t stride : strides) {
       for (std::int64_t pad : pads) {
-        const ConvGeometry g{.batch = 2,
-                             .in_channels = 3,
-                             .in_h = 11,
-                             .in_w = 9,
-                             .kernel = kernel,
-                             .stride = stride,
-                             .pad = pad};
-        if (g.out_h() <= 0 || g.out_w() <= 0) continue;
-        const Tensor input =
-            random_tensor(Shape{g.batch, g.in_channels, g.in_h, g.in_w},
-                          61 + static_cast<std::uint64_t>(kernel * 10 + pad));
-        Tensor cols(Shape{g.out_pixels(), g.patch_size()});
-        Tensor cols_naive(Shape{g.out_pixels(), g.patch_size()});
-        im2col(input, g, cols);
-        im2col_naive(input, g, cols_naive);
-        expect_bitwise_equal(cols, cols_naive, "im2col");
+        for (const auto& [in_h, in_w] : sizes) {
+          const ConvGeometry g{.batch = 2,
+                               .in_channels = 3,
+                               .in_h = in_h,
+                               .in_w = in_w,
+                               .kernel = kernel,
+                               .stride = stride,
+                               .pad = pad};
+          if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << "k" << kernel << " s" << stride << " p" << pad
+                       << " " << in_h << "x" << in_w);
+          const std::uint64_t seed =
+              61 + static_cast<std::uint64_t>(kernel * 10 + pad);
+          const Tensor input = random_tensor(
+              Shape{g.batch, g.in_channels, g.in_h, g.in_w}, seed);
+          Tensor cols(Shape{g.out_pixels(), g.patch_size()});
+          Tensor cols_naive(Shape{g.out_pixels(), g.patch_size()});
+          im2col(input, g, cols);
+          im2col_naive(input, g, cols_naive);
+          expect_bitwise_equal(cols, cols_naive, "im2col");
 
-        Tensor grad(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-        Tensor grad_naive(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-        col2im(cols, g, grad);
-        col2im_naive(cols, g, grad_naive);
-        expect_bitwise_equal(grad, grad_naive, "col2im");
+          cols = random_tensor(cols.shape(), seed + 1000);
+          Tensor grad(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+          Tensor grad_naive(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+          col2im(cols, g, grad);
+          col2im_naive(cols, g, grad_naive);
+          expect_bitwise_equal(grad, grad_naive, "col2im");
+
+          cols.fill(-0.0F);
+          col2im(cols, g, grad);
+          col2im_naive(cols, g, grad_naive);
+          expect_bitwise_equal(grad, grad_naive, "col2im of -0.0F");
+        }
       }
     }
   }
