@@ -1,13 +1,15 @@
 // Micro benchmarks for the tensor fast path: GEMM (blocked engine vs the
 // seed reference loop, per accumulation order, plus gemm_nn's untransposed
 // B), transpose, im2col, col2im, and a Conv2D forward/backward step at
-// paper-relevant shapes. Emits BENCH_tensor.json (path = argv[1], default
-// ./BENCH_tensor.json) so the repo's perf trajectory is recorded and
-// regressions are visible in CI.
+// paper-relevant shapes, warm and as a new run's first step. Each row is
+// the median of several timed blocks. Emits BENCH_tensor.json (path =
+// argv[1], default ./BENCH_tensor.json) so the repo's perf trajectory is
+// recorded and regressions are visible in CI.
 //
 // NNR_QUICK shrinks shapes and repetitions to smoke-test scale.
 // NNR_THREADS sizes the host pool; the thread-scaling rows resize it
 // explicitly per measurement.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,15 +42,28 @@ struct Row {
   double speedup_vs_ref = 0.0;  // 0 when there is no reference pairing
 };
 
+struct Reps {
+  int calls = 1;   // per timed block
+  int blocks = 1;  // odd, so the median is one block's mean
+};
+
+// The median over reps.blocks timed blocks of the mean time of reps.calls
+// calls, after one warmup call (which also first-touches any scratch). The
+// median drops blocks that a busy host slowed down.
 template <typename Fn>
-double ns_per_step(Fn&& fn, int reps) {
-  fn();  // warmup (and first-touch of any scratch)
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  return static_cast<double>(ns) / reps;
+double ns_per_step(Fn&& fn, Reps reps) {
+  fn();
+  std::vector<double> block_ns;
+  for (int b = 0; b < reps.blocks; ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps.calls; ++r) fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+    block_ns.push_back(static_cast<double>(ns) / reps.calls);
+  }
+  std::sort(block_ns.begin(), block_ns.end());
+  return block_ns[block_ns.size() / 2];
 }
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
@@ -98,7 +113,7 @@ int main(int argc, char** argv) {
   const bool quick = nnr::core::quick_mode();
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_tensor.json";
   const std::int64_t gemm_dim = quick ? 64 : 256;
-  const int reps = quick ? 2 : 10;
+  const Reps reps{.calls = quick ? 2 : 10, .blocks = quick ? 3 : 11};
   std::vector<Row> rows;
 
   const KernelPolicy seq{
@@ -237,16 +252,39 @@ int main(int argc, char** argv) {
           (void)conv.backward(grad_out, ctx);
         },
         reps);
+    // The same step as a replicate's first: a fresh layer and arena on
+    // every call, so each call also pays for its arena's storage. One call
+    // per timed block: the row is the median call.
+    const double new_run_ns = ns_per_step(
+        [&] {
+          nnr::tensor::Workspace run_ws;
+          nnr::nn::RunContext run_ctx{.hw = &hw_ctx,
+                                      .training = true,
+                                      .dropout = nullptr,
+                                      .workspace = &run_ws};
+          nnr::nn::Conv2D run_conv(16, 32, 3, 1, 1);
+          nnr::rng::Generator run_init(6);
+          run_conv.init_weights(run_init);
+          (void)run_conv.forward(input, run_ctx);
+          (void)run_conv.backward(grad_out, run_ctx);
+        },
+        Reps{.calls = 1, .blocks = reps.blocks});
     rows.push_back({"conv2d_forward",
                     dims({batch, g.in_channels, g.in_h, g.in_w}), threads,
                     fwd_ns, 0.0, 0.0});
     rows.push_back({"conv2d_fwd_bwd",
                     dims({batch, g.in_channels, g.in_h, g.in_w}), threads,
                     bwd_ns, 0.0, 0.0});
+    rows.push_back({"conv2d_fwd_bwd_new_run",
+                    dims({batch, g.in_channels, g.in_h, g.in_w}), threads,
+                    new_run_ns, 0.0, 0.0});
     std::printf("%-24s %s  %10.0f ns\n", "conv2d_forward",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), fwd_ns);
     std::printf("%-24s %s  %10.0f ns\n", "conv2d_fwd_bwd",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), bwd_ns);
+    std::printf("%-24s %s  %10.0f ns\n", "conv2d_fwd_bwd_new_run",
+                dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(),
+                new_run_ns);
   }
 
   emit_json(out_path, rows, quick);

@@ -20,12 +20,13 @@ using tensor::Tensor;
 
 EvalResult evaluate_full(nn::Model& model, const data::LabeledImages& split,
                          hw::ExecutionContext& hw_ctx,
-                         std::int64_t batch_size) {
-  tensor::Workspace workspace;
+                         std::int64_t batch_size,
+                         tensor::Workspace* workspace) {
+  tensor::Workspace own;
   nn::RunContext ctx{.hw = &hw_ctx,
                      .training = false,
                      .dropout = nullptr,
-                     .workspace = &workspace};
+                     .workspace = workspace != nullptr ? workspace : &own};
   EvalResult result;
   result.predictions.reserve(static_cast<std::size_t>(split.size()));
   result.confidences.reserve(static_cast<std::size_t>(split.size()));
@@ -118,8 +119,8 @@ double ReplicateRun::backprop(std::span<const std::uint32_t> batch) {
 
 RunResult ReplicateRun::finish(double final_train_loss) {
   const data::LabeledImages& test = job_.dataset->test;
-  EvalResult eval =
-      evaluate_full(model_, test, hw_ctx_, job_.recipe.batch_size);
+  EvalResult eval = evaluate_full(model_, test, hw_ctx_,
+                                  job_.recipe.batch_size, &workspace_);
   RunResult result;
   result.final_train_loss = final_train_loss;
   result.test_predictions = std::move(eval.predictions);

@@ -119,7 +119,10 @@ class ReplicateRun {
   /// gradient in the model's params and returns the batch's mean loss.
   double backprop(std::span<const std::uint32_t> batch);
 
-  /// Evaluates the model on the test split and packages the result.
+  /// Evaluates the model on the test split and packages the result. This
+  /// is the run's last call: evaluation runs under the run's own scratch
+  /// arena, at the training batch size, so it reuses the training slots and
+  /// overwrites the patch matrices the last backprop() left there.
   [[nodiscard]] RunResult finish(double final_train_loss);
 
   [[nodiscard]] nn::Model& model() noexcept { return model_; }
@@ -140,7 +143,8 @@ class ReplicateRun {
   std::unique_ptr<opt::Optimizer> optimizer_;
   data::EpochShuffler shuffler_;
   // One scratch arena per replicate: conv/dense reuse their im2col, repack
-  // and gradient staging buffers across every step of the run.
+  // and gradient staging buffers across every step of the run and its
+  // evaluation; its storage passes to this thread's next replicate.
   tensor::Workspace workspace_;
   nn::RunContext ctx_;
 };
@@ -152,10 +156,13 @@ struct EvalResult {
 };
 
 /// Evaluates `model` on a split, batched: argmax predictions and their
-/// confidences from one forward pass.
+/// confidences from one forward pass. The layers' scratch comes from
+/// `workspace` when given (ReplicateRun::finish passes its run's arena, so
+/// evaluation builds no second one), else from a private arena.
 [[nodiscard]] EvalResult evaluate_full(nn::Model& model,
                                        const data::LabeledImages& split,
                                        hw::ExecutionContext& hw_ctx,
-                                       std::int64_t batch_size);
+                                       std::int64_t batch_size,
+                                       tensor::Workspace* workspace = nullptr);
 
 }  // namespace nnr::core

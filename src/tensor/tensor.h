@@ -86,6 +86,12 @@ class Tensor {
     for (float& x : data_) x = value;
   }
 
+  /// Moves the buffer out, leaving an empty rank-0 tensor.
+  [[nodiscard]] std::vector<float> take_storage() noexcept {
+    shape_ = Shape{};
+    return std::move(data_);
+  }
+
  private:
   Shape shape_;
   std::vector<float> data_;
