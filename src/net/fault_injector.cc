@@ -127,42 +127,6 @@ std::optional<FaultSpec> FaultSpec::parse(std::string_view text) {
   return spec;
 }
 
-std::string FaultSpec::to_string() const {
-  // Probabilities print with six decimals, trailing zeros trimmed —
-  // matching parse_prob's digit-by-digit accumulation so a value that came
-  // out of parse() survives the round trip bit-exactly (same digits in,
-  // same accumulation back). snprintf with an explicit precision is
-  // locale-independent for the digits themselves; the grammar never
-  // contains a decimal comma because %.*f's separator is locale-dependent
-  // only via LC_NUMERIC, which this repo never sets.
-  const auto prob = [](double p) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", p);
-    std::string s(buf);
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
-    return s;
-  };
-  std::string out;
-  const auto add = [&out](const std::string& token) {
-    if (!out.empty()) out += ',';
-    out += token;
-  };
-  if (drop > 0.0) add("drop=" + prob(drop));
-  if (corrupt > 0.0) add("corrupt=" + prob(corrupt));
-  if (reset > 0.0) add("reset=" + prob(reset));
-  if (delay_prob > 0.0 && delay_ms > 0) {
-    std::string token = "delay_ms=" + std::to_string(delay_ms);
-    if (delay_prob < 1.0) {
-      token += ':';
-      token += prob(delay_prob);
-    }
-    add(token);
-  }
-  if (seed != 0) add("seed=" + std::to_string(seed));
-  return out;
-}
-
 FaultDecision FaultInjector::decide(std::uint64_t index) const noexcept {
   const rng::Key2x32 key = {static_cast<std::uint32_t>(spec_.seed),
                             static_cast<std::uint32_t>(spec_.seed >> 32)};

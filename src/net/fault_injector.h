@@ -35,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace nnr::net {
@@ -58,15 +57,6 @@ struct FaultSpec {
   /// out-of-range probability, or delay_ms > 10000 (a typo'd delay must
   /// not wedge a daemon for minutes per frame).
   static std::optional<FaultSpec> parse(std::string_view text);
-
-  /// The spec back in grammar form, canonically: only effective fields are
-  /// emitted (a fault with probability 0, a delay that can never fire, or
-  /// seed 0 all disappear), delay is `delay_ms=D` when its probability is
-  /// 1, probabilities carry at most six decimal places. The law the tests
-  /// hold this to: parse(to_string()) reproduces every effective field, so
-  /// a logged spec can be replayed verbatim. An all-defaults spec prints
-  /// as "" (which parse() accepts as the no-fault spec).
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// What one I/O call should suffer. At most one of drop/corrupt/reset is

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -92,10 +91,5 @@ struct RecvFrameResult {
 /// desynchronized connection. Throws serialize::CheckpointError on a
 /// malformed payload (the caller should drop the connection).
 [[nodiscard]] RecvFrameResult recv_frame_ex(Socket& sock);
-
-/// Compatibility wrapper over recv_frame_ex: nullopt on anything but a
-/// complete frame (timeout, EOF, error, oversized length all collapse).
-/// Prefer recv_frame_ex where retry-after-timeout matters.
-[[nodiscard]] std::optional<Frame> recv_frame(Socket& sock);
 
 }  // namespace nnr::net

@@ -48,10 +48,12 @@ class Conv2D final : public Layer {
   // Per-batch caches for backward. The patch matrix, the repacks and the
   // gradient staging buffers live in the run's Workspace (slot-addressed by
   // `this`), so step N+1 reuses step N's buffers instead of reallocating;
-  // fallback_ws_ serves callers that run without a context arena. backward()
-  // reads the patch matrix from the arena forward() wrote it to (active_ws_),
-  // so a context-arena swap between the two calls cannot silently hand
-  // backward a zeroed buffer.
+  // fallback_ws_ serves callers that run without a context arena. forward()
+  // records the arena it wrote the patch matrix to (active_ws_), and
+  // backward() asserts that the context still supplies that arena. A slot's
+  // contents are unspecified until written (a previous run's values, say),
+  // so the assert is what keeps backward from reading a patch matrix that
+  // was written into a different arena, or one that was never written.
   tensor::ConvGeometry geom_{};
   tensor::Workspace fallback_ws_;
   tensor::Workspace* active_ws_ = nullptr;

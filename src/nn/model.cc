@@ -8,17 +8,19 @@ namespace nnr::nn {
 using tensor::Tensor;
 
 Tensor Model::forward(const Tensor& input, RunContext& ctx) {
-  Tensor activation = input;
-  for (auto& layer : layers_) {
-    activation = layer->forward(activation, ctx);
+  if (layers_.empty()) return input;
+  Tensor activation = layers_.front()->forward(input, ctx);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    activation = layers_[i]->forward(activation, ctx);
   }
   return activation;
 }
 
 Tensor Model::backward(const Tensor& grad_output, RunContext& ctx) {
-  Tensor grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad, ctx);
+  if (layers_.empty()) return grad_output;
+  Tensor grad = layers_.back()->backward(grad_output, ctx);
+  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
+    grad = layers_[i]->backward(grad, ctx);
   }
   return grad;
 }
@@ -66,12 +68,6 @@ void Model::load_flat_weights(std::span<const float> flat) {
     offset += dst.size();
   }
   assert(offset == flat.size());
-}
-
-std::int64_t Model::num_params() {
-  std::int64_t n = 0;
-  for (Param* p : params()) n += p->value.numel();
-  return n;
 }
 
 }  // namespace nnr::nn

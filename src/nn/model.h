@@ -1,7 +1,7 @@
-// Model: a sequential container of layers with parameter plumbing.
+// Model: a sequential container of layers with parameter plumbing, and the
+// one code that sequences layers (nn/residual.h builds its paths from it).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -27,6 +27,9 @@ class Model {
 
   void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
+  /// forward runs the layers in order, handing `input` straight to the
+  /// first; backward runs them in reverse from `grad_output`. A Model with
+  /// no layers is the identity: both return their argument.
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input,
                                        RunContext& ctx);
   [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output,
@@ -51,10 +54,8 @@ class Model {
   /// laid out in layer order (warm-start training; see
   /// core/churn_reduction.h). Persistent buffers (BN running stats) are NOT
   /// restored — use serialize::load_model for exact state transfer.
-  /// Precondition: flat.size() == num_params().
+  /// Precondition: flat.size() == flat_weights().size().
   void load_flat_weights(std::span<const float> flat);
-
-  [[nodiscard]] std::int64_t num_params();
 
   [[nodiscard]] std::size_t num_layers() const noexcept {
     return layers_.size();

@@ -2,192 +2,101 @@
 
 #include <cassert>
 
+#include "nn/batchnorm.h"
+#include "nn/conv2d.h"
 #include "tensor/ops.h"
 
 namespace nnr::nn {
 
 using tensor::Tensor;
 
-BasicBlock::BasicBlock(std::int64_t in_channels, std::int64_t out_channels,
-                       std::int64_t stride)
-    : conv1_(in_channels, out_channels, 3, stride),
-      bn1_(out_channels),
-      conv2_(out_channels, out_channels, 3, 1),
-      bn2_(out_channels) {
-  if (stride != 1 || in_channels != out_channels) {
-    proj_ = std::make_unique<Conv2D>(in_channels, out_channels, 1, stride, 0);
-    proj_bn_ = std::make_unique<BatchNorm2D>(out_channels);
-  }
+namespace {
+
+/// Appends a k x k conv (pad k/2) and its BatchNorm.
+void emplace_conv_bn(Model& m, std::int64_t in, std::int64_t out,
+                     std::int64_t k, std::int64_t stride) {
+  m.emplace<Conv2D>(in, out, k, stride);
+  m.emplace<BatchNorm2D>(out);
 }
 
-std::string BasicBlock::name() const { return "BasicBlock"; }
-
-void BasicBlock::init_weights(rng::Generator& init_gen) {
-  conv1_.init_weights(init_gen);
-  conv2_.init_weights(init_gen);
-  if (proj_) proj_->init_weights(init_gen);
+/// The 1x1 projection when the block changes width or stride, else the
+/// identity (no layers).
+Model shortcut(std::int64_t in, std::int64_t out, std::int64_t stride) {
+  Model m;
+  if (stride != 1 || in != out) emplace_conv_bn(m, in, out, 1, stride);
+  return m;
 }
 
-std::vector<Param*> BasicBlock::params() {
-  std::vector<Param*> all;
-  auto append = [&all](Layer& layer) {
-    for (Param* p : layer.params()) all.push_back(p);
-  };
-  append(conv1_);
-  append(bn1_);
-  append(conv2_);
-  append(bn2_);
-  if (proj_) {
-    append(*proj_);
-    append(*proj_bn_);
-  }
-  return all;
+Model basic_main(std::int64_t in, std::int64_t out, std::int64_t stride) {
+  Model m;
+  emplace_conv_bn(m, in, out, 3, stride);
+  m.emplace<ReLU>();
+  emplace_conv_bn(m, out, out, 3, 1);
+  return m;
 }
 
-std::vector<NamedBuffer> BasicBlock::buffers() {
-  std::vector<NamedBuffer> all;
-  auto append = [&all](Layer& layer) {
-    for (NamedBuffer b : layer.buffers()) all.push_back(b);
-  };
-  append(bn1_);
-  append(bn2_);
-  if (proj_bn_) append(*proj_bn_);
-  return all;
+Model bottleneck_main(std::int64_t in, std::int64_t mid, std::int64_t out,
+                      std::int64_t stride) {
+  Model m;
+  emplace_conv_bn(m, in, mid, 1, 1);
+  m.emplace<ReLU>();
+  emplace_conv_bn(m, mid, mid, 3, stride);
+  m.emplace<ReLU>();
+  emplace_conv_bn(m, mid, out, 1, 1);
+  return m;
 }
 
-Tensor BasicBlock::forward(const Tensor& input, RunContext& ctx) {
-  Tensor main = conv1_.forward(input, ctx);
-  main = bn1_.forward(main, ctx);
-  main = relu1_.forward(main, ctx);
-  main = conv2_.forward(main, ctx);
-  main = bn2_.forward(main, ctx);
-
-  Tensor skip = input;
-  if (proj_) {
-    skip = proj_->forward(input, ctx);
-    skip = proj_bn_->forward(skip, ctx);
-  }
-  assert(main.shape() == skip.shape());
-  tensor::axpy(1.0F, skip.data(), main.data());
-  return relu_out_.forward(main, ctx);
+template <typename T>
+std::vector<T> concat(std::vector<T> head, const std::vector<T>& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
 }
 
-Tensor BasicBlock::backward(const Tensor& grad_output, RunContext& ctx) {
-  Tensor grad_sum = relu_out_.backward(grad_output, ctx);
+}  // namespace
 
-  // Skip path.
-  Tensor grad_skip = grad_sum;
-  if (proj_) {
-    grad_skip = proj_bn_->backward(grad_skip, ctx);
-    grad_skip = proj_->backward(grad_skip, ctx);
-  }
+Tensor ResidualBlock::forward(const Tensor& input, RunContext& ctx) {
+  Tensor sum = main_.forward(input, ctx);
+  const Tensor skip = shortcut_.forward(input, ctx);
+  assert(sum.shape() == skip.shape());
+  tensor::axpy(1.0F, skip.data(), sum.data());
+  return relu_out_.forward(sum, ctx);
+}
 
-  // Main path.
-  Tensor grad = bn2_.backward(grad_sum, ctx);
-  grad = conv2_.backward(grad, ctx);
-  grad = relu1_.backward(grad, ctx);
-  grad = bn1_.backward(grad, ctx);
-  grad = conv1_.backward(grad, ctx);
-
+Tensor ResidualBlock::backward(const Tensor& grad_output, RunContext& ctx) {
+  const Tensor grad_sum = relu_out_.backward(grad_output, ctx);
+  const Tensor grad_skip = shortcut_.backward(grad_sum, ctx);
+  Tensor grad = main_.backward(grad_sum, ctx);
   tensor::axpy(1.0F, grad_skip.data(), grad.data());
   return grad;
 }
+
+std::vector<Param*> ResidualBlock::params() {
+  return concat(main_.params(), shortcut_.params());
+}
+
+std::vector<NamedBuffer> ResidualBlock::buffers() {
+  return concat(main_.buffers(), shortcut_.buffers());
+}
+
+void ResidualBlock::init_weights(rng::Generator& init_gen) {
+  main_.init_weights(init_gen);
+  shortcut_.init_weights(init_gen);
+}
+
+BasicBlock::BasicBlock(std::int64_t in_channels, std::int64_t out_channels,
+                       std::int64_t stride)
+    : ResidualBlock(basic_main(in_channels, out_channels, stride),
+                    shortcut(in_channels, out_channels, stride)) {}
+
+std::string BasicBlock::name() const { return "BasicBlock"; }
 
 BottleneckBlock::BottleneckBlock(std::int64_t in_channels,
                                  std::int64_t mid_channels,
                                  std::int64_t expansion, std::int64_t stride)
-    : conv1_(in_channels, mid_channels, 1, 1, 0),
-      bn1_(mid_channels),
-      conv2_(mid_channels, mid_channels, 3, stride),
-      bn2_(mid_channels),
-      conv3_(mid_channels, mid_channels * expansion, 1, 1, 0),
-      bn3_(mid_channels * expansion) {
-  const std::int64_t out_channels = mid_channels * expansion;
-  if (stride != 1 || in_channels != out_channels) {
-    proj_ = std::make_unique<Conv2D>(in_channels, out_channels, 1, stride, 0);
-    proj_bn_ = std::make_unique<BatchNorm2D>(out_channels);
-  }
-}
+    : ResidualBlock(bottleneck_main(in_channels, mid_channels,
+                                    mid_channels * expansion, stride),
+                    shortcut(in_channels, mid_channels * expansion, stride)) {}
 
 std::string BottleneckBlock::name() const { return "BottleneckBlock"; }
-
-void BottleneckBlock::init_weights(rng::Generator& init_gen) {
-  conv1_.init_weights(init_gen);
-  conv2_.init_weights(init_gen);
-  conv3_.init_weights(init_gen);
-  if (proj_) proj_->init_weights(init_gen);
-}
-
-std::vector<Param*> BottleneckBlock::params() {
-  std::vector<Param*> all;
-  auto append = [&all](Layer& layer) {
-    for (Param* p : layer.params()) all.push_back(p);
-  };
-  append(conv1_);
-  append(bn1_);
-  append(conv2_);
-  append(bn2_);
-  append(conv3_);
-  append(bn3_);
-  if (proj_) {
-    append(*proj_);
-    append(*proj_bn_);
-  }
-  return all;
-}
-
-std::vector<NamedBuffer> BottleneckBlock::buffers() {
-  std::vector<NamedBuffer> all;
-  auto append = [&all](Layer& layer) {
-    for (NamedBuffer b : layer.buffers()) all.push_back(b);
-  };
-  append(bn1_);
-  append(bn2_);
-  append(bn3_);
-  if (proj_bn_) append(*proj_bn_);
-  return all;
-}
-
-Tensor BottleneckBlock::forward(const Tensor& input, RunContext& ctx) {
-  Tensor main = conv1_.forward(input, ctx);
-  main = bn1_.forward(main, ctx);
-  main = relu1_.forward(main, ctx);
-  main = conv2_.forward(main, ctx);
-  main = bn2_.forward(main, ctx);
-  main = relu2_.forward(main, ctx);
-  main = conv3_.forward(main, ctx);
-  main = bn3_.forward(main, ctx);
-
-  Tensor skip = input;
-  if (proj_) {
-    skip = proj_->forward(input, ctx);
-    skip = proj_bn_->forward(skip, ctx);
-  }
-  assert(main.shape() == skip.shape());
-  tensor::axpy(1.0F, skip.data(), main.data());
-  return relu_out_.forward(main, ctx);
-}
-
-Tensor BottleneckBlock::backward(const Tensor& grad_output, RunContext& ctx) {
-  Tensor grad_sum = relu_out_.backward(grad_output, ctx);
-
-  Tensor grad_skip = grad_sum;
-  if (proj_) {
-    grad_skip = proj_bn_->backward(grad_skip, ctx);
-    grad_skip = proj_->backward(grad_skip, ctx);
-  }
-
-  Tensor grad = bn3_.backward(grad_sum, ctx);
-  grad = conv3_.backward(grad, ctx);
-  grad = relu2_.backward(grad, ctx);
-  grad = bn2_.backward(grad, ctx);
-  grad = conv2_.backward(grad, ctx);
-  grad = relu1_.backward(grad, ctx);
-  grad = bn1_.backward(grad, ctx);
-  grad = conv1_.backward(grad, ctx);
-
-  tensor::axpy(1.0F, grad_skip.data(), grad.data());
-  return grad;
-}
 
 }  // namespace nnr::nn

@@ -1,6 +1,6 @@
 #include "nn/zoo.h"
 
-#include <cassert>
+#include <optional>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -15,21 +15,74 @@
 
 namespace nnr::nn {
 
-Model small_cnn(std::int64_t num_classes, bool with_batchnorm) {
+namespace {
+
+void emplace_activation(Model& m, ActKind act) {
+  switch (act) {
+    case ActKind::kReLU:
+      m.emplace<ReLU>();
+      return;
+    case ActKind::kSiLU:
+      m.emplace<SiLU>();
+      return;
+    case ActKind::kGELU:
+      m.emplace<GELU>();
+      return;
+    case ActKind::kTanh:
+      m.emplace<Tanh>();
+      return;
+  }
+}
+
+/// The one SmallCNN topology: three conv-[norm]-act-pool stages, then
+/// Dense-32, act, [Dropout], Dense-num_classes.
+Model build_small_cnn(std::int64_t num_classes, NormKind norm, ActKind act,
+                      std::optional<float> dropout) {
   Model m;
   const std::int64_t widths[4] = {3, 16, 32, 32};
   for (int stage = 0; stage < 3; ++stage) {
-    m.emplace<Conv2D>(widths[stage], widths[stage + 1], 3);
-    if (with_batchnorm) m.emplace<BatchNorm2D>(widths[stage + 1]);
-    m.emplace<ReLU>();
+    const std::int64_t out = widths[stage + 1];
+    m.emplace<Conv2D>(widths[stage], out, 3);
+    switch (norm) {
+      case NormKind::kNone:
+        break;
+      case NormKind::kBatch:
+        m.emplace<BatchNorm2D>(out);
+        break;
+      case NormKind::kGroup:
+        m.emplace<GroupNorm>(out, /*groups=*/4);
+        break;
+    }
+    emplace_activation(m, act);
     m.emplace<MaxPool2x2>();
   }
   // 16x16 -> 2x2 after three pools; 2*2*32 = 128 features.
   m.emplace<Flatten>();
   m.emplace<Dense>(128, 32);
-  m.emplace<ReLU>();
+  emplace_activation(m, act);
+  if (dropout) m.emplace<Dropout>(*dropout);
   m.emplace<Dense>(32, num_classes);
   return m;
+}
+
+}  // namespace
+
+Model small_cnn(std::int64_t num_classes, bool with_batchnorm) {
+  return build_small_cnn(num_classes,
+                         with_batchnorm ? NormKind::kBatch : NormKind::kNone,
+                         ActKind::kReLU, std::nullopt);
+}
+
+Model small_cnn_dropout(std::int64_t num_classes, float rate) {
+  return build_small_cnn(num_classes, NormKind::kNone, ActKind::kReLU, rate);
+}
+
+Model small_cnn_norm(std::int64_t num_classes, NormKind norm) {
+  return build_small_cnn(num_classes, norm, ActKind::kReLU, std::nullopt);
+}
+
+Model small_cnn_activation(std::int64_t num_classes, ActKind act) {
+  return build_small_cnn(num_classes, NormKind::kBatch, act, std::nullopt);
 }
 
 Model resnet18s(std::int64_t num_classes) {
@@ -66,22 +119,6 @@ Model resnet50s(std::int64_t num_classes) {
   // Stage 3: bottleneck -> 64 @ 4x4.
   m.emplace<BottleneckBlock>(32, 32, kExpansion, 2);
   m.emplace<BottleneckBlock>(64, 32, kExpansion, 1);
-  m.emplace<GlobalAvgPool>();
-  m.emplace<Dense>(64, num_classes);
-  return m;
-}
-
-Model medium_cnn(std::int64_t num_classes, std::int64_t kernel) {
-  assert(kernel == 1 || kernel == 3 || kernel == 5 || kernel == 7);
-  Model m;
-  const std::int64_t widths[5] = {3, 8, 16, 32, 64};
-  // Four conv-BN-ReLU-pool stages: 16x16 -> 1x1.
-  for (int stage = 0; stage < 4; ++stage) {
-    m.emplace<Conv2D>(widths[stage], widths[stage + 1], kernel);
-    m.emplace<BatchNorm2D>(widths[stage + 1]);
-    m.emplace<ReLU>();
-    m.emplace<MaxPool2x2>();
-  }
   m.emplace<GlobalAvgPool>();
   m.emplace<Dense>(64, num_classes);
   return m;
@@ -134,85 +171,6 @@ Model mobilenet_s(std::int64_t num_classes) {
   m.emplace<MaxPool2x2>();
   m.emplace<GlobalAvgPool>();
   m.emplace<Dense>(64, num_classes);
-  return m;
-}
-
-Model small_cnn_dropout(std::int64_t num_classes, float rate) {
-  Model m;
-  const std::int64_t widths[4] = {3, 16, 32, 32};
-  for (int stage = 0; stage < 3; ++stage) {
-    m.emplace<Conv2D>(widths[stage], widths[stage + 1], 3);
-    m.emplace<ReLU>();
-    m.emplace<MaxPool2x2>();
-  }
-  m.emplace<Flatten>();
-  m.emplace<Dense>(128, 32);
-  m.emplace<ReLU>();
-  m.emplace<Dropout>(rate);
-  m.emplace<Dense>(32, num_classes);
-  return m;
-}
-
-Model small_cnn_norm(std::int64_t num_classes, NormKind norm) {
-  Model m;
-  const std::int64_t widths[4] = {3, 16, 32, 32};
-  for (int stage = 0; stage < 3; ++stage) {
-    const std::int64_t out = widths[stage + 1];
-    m.emplace<Conv2D>(widths[stage], out, 3);
-    switch (norm) {
-      case NormKind::kNone:
-        break;
-      case NormKind::kBatch:
-        m.emplace<BatchNorm2D>(out);
-        break;
-      case NormKind::kGroup:
-        m.emplace<GroupNorm>(out, /*groups=*/4);
-        break;
-    }
-    m.emplace<ReLU>();
-    m.emplace<MaxPool2x2>();
-  }
-  m.emplace<Flatten>();
-  m.emplace<Dense>(128, 32);
-  m.emplace<ReLU>();
-  m.emplace<Dense>(32, num_classes);
-  return m;
-}
-
-namespace {
-
-void emplace_activation(Model& m, ActKind act) {
-  switch (act) {
-    case ActKind::kReLU:
-      m.emplace<ReLU>();
-      return;
-    case ActKind::kSiLU:
-      m.emplace<SiLU>();
-      return;
-    case ActKind::kGELU:
-      m.emplace<GELU>();
-      return;
-    case ActKind::kTanh:
-      m.emplace<Tanh>();
-      return;
-  }
-}
-
-}  // namespace
-
-Model small_cnn_activation(std::int64_t num_classes, ActKind act) {
-  Model m;
-  const std::int64_t widths[4] = {3, 16, 32, 32};
-  for (int stage = 0; stage < 3; ++stage) {
-    m.emplace<Conv2D>(widths[stage], widths[stage + 1], 3);
-    m.emplace<BatchNorm2D>(widths[stage + 1]);
-    emplace_activation(m, act);
-    m.emplace<MaxPool2x2>();
-  }
-  m.emplace<Flatten>();
-  m.emplace<Dense>(128, 32);
-  emplace_activation(m, act);
-  m.emplace<Dense>(32, num_classes);
   return m;
 }
 

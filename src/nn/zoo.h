@@ -14,10 +14,32 @@
 
 namespace nnr::nn {
 
-/// Three-conv SmallCNN (paper Appendix C, left column), optionally with
-/// BatchNorm after each conv (the Fig. 2 ablation).
-/// Input: [N, 3, 16, 16]. Head: Dense-32, Dense-num_classes.
+/// Normalization choice for the model-design ablation: the paper's Fig. 2
+/// contrasts only BN vs none; GroupNorm separates "normalization stabilizes
+/// optimization" from "batch statistics transmit order noise".
+enum class NormKind { kNone, kBatch, kGroup };
+
+/// Activation choice for the smoothness ablation (Shamir et al. 2020,
+/// cited in the paper's related work).
+enum class ActKind { kReLU, kSiLU, kGELU, kTanh };
+
+/// Three-conv SmallCNN (paper Appendix C, left column): three
+/// conv3x3-[norm]-activation-maxpool stages (16/32/32 channels), then
+/// Dense-32, activation, [Dropout], Dense-num_classes. Input: [N, 3, 16, 16].
+/// This is the paper cell: ReLU, BatchNorm optional (the Fig. 2 ablation).
+/// The three variants below vary one part of it for an ablation.
 [[nodiscard]] Model small_cnn(std::int64_t num_classes, bool with_batchnorm);
+
+/// No normalization, ReLU, and Dropout before the classifier: a consumer
+/// for the kDropout noise channel (the channel-decomposition ablation).
+[[nodiscard]] Model small_cnn_dropout(std::int64_t num_classes, float rate);
+
+/// ReLU with a selectable per-stage normalization layer.
+[[nodiscard]] Model small_cnn_norm(std::int64_t num_classes, NormKind norm);
+
+/// BatchNorm with a selectable activation.
+[[nodiscard]] Model small_cnn_activation(std::int64_t num_classes,
+                                         ActKind act);
 
 /// Scaled ResNet-18: stem + 3 stages of two BasicBlocks (8/16/32 channels),
 /// GAP head. Input: [N, 3, 16, 16].
@@ -26,11 +48,6 @@ namespace nnr::nn {
 /// Scaled ResNet-50: stem + 3 stages of BottleneckBlocks (expansion 2),
 /// GAP head. Input: [N, 3, 16, 16].
 [[nodiscard]] Model resnet50s(std::int64_t num_classes);
-
-/// Six-conv MediumCNN with parametric square kernel size (paper Appendix C,
-/// right column) — the Fig. 8(b) kernel-size study subject. Scaled to
-/// 16x16 inputs with 4 stages. kernel must be 1, 3, 5, or 7.
-[[nodiscard]] Model medium_cnn(std::int64_t num_classes, std::int64_t kernel);
 
 /// Scaled VGG: plain (non-residual) deep stack of conv-BN-ReLU pairs, three
 /// 2x-pool stages (16/32/64 channels), GAP head. The paper profiles VGG-16/19
@@ -45,27 +62,5 @@ namespace nnr::nn {
 /// contract over only k*k taps, so this is also the zoo's *least*
 /// IMPL-noise-exposed convnet per reduction.
 [[nodiscard]] Model mobilenet_s(std::int64_t num_classes);
-
-// --- Ablation variants (not paper cells; used by the ablation benches) ---
-
-/// Normalization choice for the model-design ablation: the paper's Fig. 2
-/// contrasts only BN vs none; GroupNorm separates "normalization stabilizes
-/// optimization" from "batch statistics transmit order noise".
-enum class NormKind { kNone, kBatch, kGroup };
-
-/// Activation choice for the smoothness ablation (Shamir et al. 2020,
-/// cited in the paper's related work).
-enum class ActKind { kReLU, kSiLU, kGELU, kTanh };
-
-/// SmallCNN with a Dropout layer before the classifier head — gives the
-/// kDropout noise channel a consumer for the channel-decomposition ablation.
-[[nodiscard]] Model small_cnn_dropout(std::int64_t num_classes, float rate);
-
-/// SmallCNN with a selectable per-stage normalization layer.
-[[nodiscard]] Model small_cnn_norm(std::int64_t num_classes, NormKind norm);
-
-/// SmallCNN+BN with a selectable activation.
-[[nodiscard]] Model small_cnn_activation(std::int64_t num_classes,
-                                         ActKind act);
 
 }  // namespace nnr::nn

@@ -29,12 +29,6 @@ BootstrapCI ci_from_replicates(double point, std::vector<double>& stats,
   return ci;
 }
 
-double sample_mean(std::span<const double> xs) {
-  metrics::RunningStat s;
-  for (const double x : xs) s.add(x);
-  return s.mean();
-}
-
 double sample_stddev(std::span<const double> xs) {
   metrics::RunningStat s;
   for (const double x : xs) s.add(x);
@@ -58,11 +52,6 @@ BootstrapCI bootstrap_ci(std::span<const double> sample,
     stats.push_back(statistic(resample));
   }
   return ci_from_replicates(statistic(sample), stats, confidence);
-}
-
-BootstrapCI bootstrap_mean_ci(std::span<const double> sample, int resamples,
-                              double confidence, rng::Generator& gen) {
-  return bootstrap_ci(sample, sample_mean, resamples, confidence, gen);
 }
 
 BootstrapCI bootstrap_stddev_ci(std::span<const double> sample, int resamples,

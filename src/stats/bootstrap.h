@@ -42,11 +42,6 @@ using Statistic = std::function<double(std::span<const double>)>;
                                        int resamples, double confidence,
                                        rng::Generator& gen);
 
-/// CI for the sample mean.
-[[nodiscard]] BootstrapCI bootstrap_mean_ci(std::span<const double> sample,
-                                            int resamples, double confidence,
-                                            rng::Generator& gen);
-
 /// CI for the sample standard deviation (n-1 denominator) — the error bar on
 /// the paper's headline STDDEV(Accuracy) numbers.
 [[nodiscard]] BootstrapCI bootstrap_stddev_ci(std::span<const double> sample,

@@ -106,8 +106,6 @@ void gather_columns(BView b, std::int64_t k, std::int64_t j0, std::int64_t j1,
 // order of additions within an element. (Contraction into FMAs is disabled
 // project-wide via -ffp-contract=off, so mul+add stays two roundings in
 // both the reference and the blocked engine.)
-#if defined(__GNUC__) || defined(__clang__)
-#define NNR_GEMM_V8 1
 using v8f = float __attribute__((vector_size(8 * sizeof(float))));
 
 inline v8f load8(const float* p) noexcept {
@@ -148,39 +146,6 @@ void micro_tile(const float* a, std::int64_t lda, const float* bp,
   }
   for (std::int64_t r = 0; r < kMr; ++r) store8(out + r * kNr, res[r]);
 }
-#else
-void micro_tile(const float* a, std::int64_t lda, const float* bp,
-                std::int64_t begin, std::int64_t end,
-                float out[kTileElems]) noexcept {
-  float acc[4][kTileElems] = {};
-  std::int64_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    for (int u = 0; u < 4; ++u) {
-      const float* brow = bp + (i + u) * kNr;
-      for (std::int64_t r = 0; r < kMr; ++r) {
-        const float av = a[r * lda + i + u];
-        float* accr = acc[u] + r * kNr;
-        for (std::int64_t jj = 0; jj < kNr; ++jj) {
-          accr[jj] += av * brow[jj];
-        }
-      }
-    }
-  }
-  for (std::int64_t e = 0; e < kTileElems; ++e) {
-    out[e] = (acc[0][e] + acc[1][e]) + (acc[2][e] + acc[3][e]);
-  }
-  for (; i < end; ++i) {
-    const float* brow = bp + i * kNr;
-    for (std::int64_t r = 0; r < kMr; ++r) {
-      const float av = a[r * lda + i];
-      float* outr = out + r * kNr;
-      for (std::int64_t jj = 0; jj < kNr; ++jj) {
-        outr[jj] += av * brow[jj];
-      }
-    }
-  }
-}
-#endif  // NNR_GEMM_V8
 
 // The seed kernel body, shared by gemm_nt_reference and the fallback paths.
 void gemm_nt_loop(const float* pa, const float* pb, float* pc, std::int64_t m,

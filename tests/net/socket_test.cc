@@ -1,5 +1,5 @@
 // Socket + Listener + frame transport over a real loopback connection:
-// ephemeral ports, exact-count I/O, send_frame/recv_frame round trips,
+// ephemeral ports, exact-count I/O, send_frame/recv_frame_ex round trips,
 // clean failure on EOF and on unreachable peers, and the IoStatus /
 // RecvStatus taxonomy: a timeout (slow peer, retryable at a boundary) must
 // never be conflated with a close or a desynchronized stream.
@@ -74,9 +74,9 @@ TEST(SocketTest, FramesRoundTripOverLoopback) {
     }
     ASSERT_TRUE(conn.valid());
     for (;;) {
-      auto frame = recv_frame(conn);
-      if (!frame.has_value()) return;  // client closed
-      ASSERT_TRUE(send_frame(conn, frame->opcode + 1, frame->body));
+      const RecvFrameResult got = recv_frame_ex(conn);
+      if (got.status != RecvStatus::kFrame) return;  // client closed
+      ASSERT_TRUE(send_frame(conn, got.frame.opcode + 1, got.frame.body));
     }
   });
 
@@ -86,16 +86,16 @@ TEST(SocketTest, FramesRoundTripOverLoopback) {
     const std::string body = "message " + std::to_string(i) +
                              std::string(1000 * i, '\xAB');
     ASSERT_TRUE(send_frame(client, static_cast<std::uint8_t>(10 + i), body));
-    auto echoed = recv_frame(client);
-    ASSERT_TRUE(echoed.has_value());
-    EXPECT_EQ(echoed->opcode, 11 + i);
-    EXPECT_EQ(echoed->body, body);
+    const RecvFrameResult echoed = recv_frame_ex(client);
+    ASSERT_EQ(echoed.status, RecvStatus::kFrame);
+    EXPECT_EQ(echoed.frame.opcode, 11 + i);
+    EXPECT_EQ(echoed.frame.body, body);
   }
   client.close();
   server.join();
 }
 
-TEST(SocketTest, RecvFrameReturnsNulloptOnEof) {
+TEST(SocketTest, RecvFrameReportsClosedOnEof) {
   Listener listener;
   ASSERT_TRUE(listener.listen_on("127.0.0.1", 0));
   Socket client = connect_tcp("127.0.0.1", listener.port(), 1000, 1000);
@@ -109,7 +109,7 @@ TEST(SocketTest, RecvFrameReturnsNulloptOnEof) {
   }
   ASSERT_TRUE(server_side.valid());
   client.close();
-  EXPECT_FALSE(recv_frame(server_side).has_value());
+  EXPECT_EQ(recv_frame_ex(server_side).status, RecvStatus::kClosed);
 }
 
 TEST(SocketTest, RecvExactTimeoutOnSilentPeerIsCleanBoundary) {

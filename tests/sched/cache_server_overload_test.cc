@@ -75,16 +75,17 @@ TEST_F(OverloadServerTest, ConnectionCapAnswersGoAwayBusyThenCloses) {
   for (net::Socket* sock : {&first, &second}) {
     ASSERT_TRUE(net::send_frame(
         *sock, static_cast<std::uint8_t>(net::Op::kPing), ""));
-    ASSERT_TRUE(net::recv_frame(*sock).has_value());
+    ASSERT_EQ(net::recv_frame_ex(*sock).status, net::RecvStatus::kFrame);
   }
 
   // The third is over capacity: exactly one kGoAway frame, then EOF.
   net::Socket excess = raw_conn();
-  const auto frame = net::recv_frame(excess);
-  ASSERT_TRUE(frame.has_value()) << "the refusal must be explicit, not "
-                                    "a silent close the client misreads";
-  EXPECT_EQ(frame->opcode, static_cast<std::uint8_t>(net::Op::kGoAway));
-  net::BodyReader r(frame->body);
+  const net::RecvFrameResult refusal = net::recv_frame_ex(excess);
+  ASSERT_EQ(refusal.status, net::RecvStatus::kFrame)
+      << "the refusal must be explicit, not a silent close the client "
+         "misreads";
+  EXPECT_EQ(refusal.frame.opcode, static_cast<std::uint8_t>(net::Op::kGoAway));
+  net::BodyReader r(refusal.frame.body);
   EXPECT_EQ(static_cast<net::Status>(r.get<std::uint8_t>()),
             net::Status::kBusy);
   EXPECT_GT(r.get<std::uint32_t>(), 0u) << "retry hint must be usable";
@@ -101,11 +102,12 @@ TEST_F(OverloadServerTest, ConnectionCapAnswersGoAwayBusyThenCloses) {
     net::Socket retry = raw_conn();
     if (net::send_frame(retry, static_cast<std::uint8_t>(net::Op::kPing),
                         "")) {
-      const auto reply = net::recv_frame(retry);
+      const net::RecvFrameResult reply = net::recv_frame_ex(retry);
       // A kGoAway here means the daemon hasn't noticed the close yet —
       // keep retrying; only an echoed ping proves admission.
-      admitted = reply.has_value() &&
-                 reply->opcode == static_cast<std::uint8_t>(net::Op::kPing);
+      admitted = reply.status == net::RecvStatus::kFrame &&
+                 reply.frame.opcode ==
+                     static_cast<std::uint8_t>(net::Op::kPing);
     }
     if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -164,13 +166,14 @@ TEST_F(OverloadServerTest, PipelinedRequestsAreAllServedInOrder) {
 
   for (int i = 0; i < kFrames; ++i) {
     const bool ping = i % 2 == 0;
-    const auto reply = net::recv_frame(sock);
-    ASSERT_TRUE(reply.has_value()) << "answer " << i << " never came";
-    ASSERT_EQ(reply->opcode,
+    const net::RecvFrameResult reply = net::recv_frame_ex(sock);
+    ASSERT_EQ(reply.status, net::RecvStatus::kFrame)
+        << "answer " << i << " never came";
+    ASSERT_EQ(reply.frame.opcode,
               static_cast<std::uint8_t>(ping ? net::Op::kPing : net::Op::kGet))
         << "answer " << i << " is out of order";
-    ASSERT_FALSE(reply->body.empty());
-    EXPECT_EQ(static_cast<net::Status>(reply->body[0]),
+    ASSERT_FALSE(reply.frame.body.empty());
+    EXPECT_EQ(static_cast<net::Status>(reply.frame.body[0]),
               ping ? net::Status::kOk : net::Status::kMiss)
         << "answer " << i;
   }

@@ -21,10 +21,21 @@ std::vector<double> normal_sample(std::size_t n, double mean, double sd,
   return xs;
 }
 
+/// The mean statistic through the generic entry point.
+BootstrapCI mean_ci(std::span<const double> sample, int resamples,
+                    double confidence, rng::Generator& gen) {
+  const Statistic mean = [](std::span<const double> s) {
+    metrics::RunningStat stat;
+    for (const double x : s) stat.add(x);
+    return stat.mean();
+  };
+  return bootstrap_ci(sample, mean, resamples, confidence, gen);
+}
+
 TEST(BootstrapMean, PointEstimateIsSampleMean) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   rng::Generator gen(7);
-  const BootstrapCI ci = bootstrap_mean_ci(xs, 500, 0.95, gen);
+  const BootstrapCI ci = mean_ci(xs, 500, 0.95, gen);
   EXPECT_DOUBLE_EQ(ci.point, 2.5);
   EXPECT_LE(ci.lo, ci.point);
   EXPECT_GE(ci.hi, ci.point);
@@ -34,8 +45,8 @@ TEST(BootstrapMean, DeterministicGivenSeed) {
   const std::vector<double> xs = normal_sample(20, 5.0, 1.0, 11);
   rng::Generator a(42);
   rng::Generator b(42);
-  const BootstrapCI ca = bootstrap_mean_ci(xs, 300, 0.95, a);
-  const BootstrapCI cb = bootstrap_mean_ci(xs, 300, 0.95, b);
+  const BootstrapCI ca = mean_ci(xs, 300, 0.95, a);
+  const BootstrapCI cb = mean_ci(xs, 300, 0.95, b);
   EXPECT_DOUBLE_EQ(ca.lo, cb.lo);
   EXPECT_DOUBLE_EQ(ca.hi, cb.hi);
 }
@@ -43,7 +54,7 @@ TEST(BootstrapMean, DeterministicGivenSeed) {
 TEST(BootstrapMean, ConstantSampleHasZeroWidth) {
   const std::vector<double> xs(10, 3.25);
   rng::Generator gen(1);
-  const BootstrapCI ci = bootstrap_mean_ci(xs, 200, 0.95, gen);
+  const BootstrapCI ci = mean_ci(xs, 200, 0.95, gen);
   EXPECT_DOUBLE_EQ(ci.lo, 3.25);
   EXPECT_DOUBLE_EQ(ci.hi, 3.25);
   EXPECT_DOUBLE_EQ(ci.width(), 0.0);
@@ -53,8 +64,8 @@ TEST(BootstrapMean, WiderConfidenceGivesWiderInterval) {
   const std::vector<double> xs = normal_sample(30, 0.0, 2.0, 5);
   rng::Generator g1(9);
   rng::Generator g2(9);
-  const BootstrapCI c90 = bootstrap_mean_ci(xs, 2000, 0.90, g1);
-  const BootstrapCI c99 = bootstrap_mean_ci(xs, 2000, 0.99, g2);
+  const BootstrapCI c90 = mean_ci(xs, 2000, 0.90, g1);
+  const BootstrapCI c99 = mean_ci(xs, 2000, 0.99, g2);
   EXPECT_LT(c90.width(), c99.width());
 }
 
@@ -68,7 +79,7 @@ TEST(BootstrapMean, CoverageNearNominal) {
     const std::vector<double> xs =
         normal_sample(25, 10.0, 3.0, 1000 + static_cast<std::uint64_t>(t));
     rng::Generator gen(77 + static_cast<std::uint64_t>(t));
-    const BootstrapCI ci = bootstrap_mean_ci(xs, 400, 0.90, gen);
+    const BootstrapCI ci = mean_ci(xs, 400, 0.90, gen);
     if (ci.contains(10.0)) ++covered;
   }
   const double coverage = static_cast<double>(covered) / kTrials;
